@@ -9,7 +9,8 @@ Instance format, bit-exact:
     bounds L U                      optional, uniform bounds; or `binary`
 
 Exit codes: 0 answered, 1 usage or parse error, 2 the system has no
-integer solution, 3 a resource limit stopped the run.  JSON output writes
+integer solution, 3 a resource limit stopped the run, 4 internal
+consistency failure (a certificate or integrality check did not hold).  JSON output writes
 integers longer than 15 digits as decimal strings so consumers that read
 doubles cannot silently lose precision; matrices are always emitted as
 arrays of decimal strings.
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(Exception):
@@ -492,6 +494,10 @@ def main(argv=None) -> int:
             RankError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        # failed certificate checks and IntegralityError: a bug, not an answer
+        print("error: internal consistency failure: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

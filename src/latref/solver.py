@@ -1,10 +1,11 @@
 """Exact LP-based feasibility testing for the original and reformulated systems.
 
-Everything here runs in rational arithmetic: the simplex solver keeps a dense
-Fraction tableau and uses Bland's rule, so it terminates without tolerances,
-and every answer carries a certificate that is re-verified before it is
-returned.  Branch and bound sits on top of that, solving one feasibility LP
-per node plus two bound probes for the chosen branching variable.
+Everything here runs in exact arithmetic: the simplex solver keeps a dense
+fraction-free integer tableau over one common denominator (Bareiss pivoting)
+and uses Bland's rule, so it terminates without tolerances, and every answer
+carries a rational certificate that is re-verified before it is returned.
+Branch and bound sits on top of that, solving one feasibility LP per node
+plus two bound probes for the chosen branching variable.
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
@@ -12,6 +13,7 @@ and "mu0", "mu1", ... for the multipliers of an extended formulation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import DimensionError, DomainError, IntMatrix, mat_vec
@@ -90,7 +92,21 @@ class LpResult:
 
 
 class _Simplex:
-    """Bounded-variable two-phase simplex on a dense rational tableau.
+    """Bounded-variable two-phase simplex on a fraction-free integer tableau.
+
+    The tableau B^-1 [A | I] is held as Python ints T over one common
+    denominator den > 0: the true entry is T[i][j] / den, and den is |det B|
+    of the row-scaled system below.  A pivot on (i, j) is the Bareiss update
+    T'[k] = (piv*T[k] - T[k][j]*T[i]) // den, whose division is exact; den
+    then becomes |piv|.  The reduced-cost row rc = den * (c - c_B B^-1 [A | I])
+    is built once per optimisation and rides along as one more row under the
+    same update.  Column values stay Fractions.
+
+    A row with fractional entries is scaled by the lcm of its denominators,
+    its artificial column included, which leaves B^-1 [A | I] unchanged; den
+    starts at the product of those scales.  An objective is scaled by the
+    lcm of its denominators.  Neither scaling changes the sign of any reduced
+    cost or ratio, so every pivot is the one the rational tableau would make.
 
     The artificial columns are kept for the whole solve; after phase 1 they
     are fixed to zero, which both blocks re-entry and keeps B^-1 readable
@@ -123,14 +139,16 @@ class _Simplex:
             for i in range(self.m)
         ]
         self.art_sign = [1 if r >= 0 else -1 for r in resid]
-        # tab = B^-1 [A | S] with B the (signed) artificial columns, so the
-        # artificial block starts as the identity.
-        self.tab: List[List[Rat]] = []
+        # tab = den B^-1 [A | S] with B the (signed) artificial columns, so the
+        # artificial block starts as den times the identity.
+        self.den = prod(lcm(*(v.denominator for v in row)) for row in p.eq_lhs)
+        self.tab: List[List[int]] = []
         for i in range(self.m):
-            s = self.art_sign[i]
-            row = [s * p.eq_lhs[i][j] for j in range(self.n)]
-            row += [Fraction(1) if k == i else Fraction(0) for k in range(self.m)]
+            f = self.art_sign[i] * self.den
+            row = [f * v.numerator // v.denominator for v in p.eq_lhs[i]]
+            row += [self.den if k == i else 0 for k in range(self.m)]
             self.tab.append(row)
+        self.rc: List[int] = []
         self.basis = list(range(self.n, self.ncols))
         for i in range(self.m):
             self.status.append(_BASIC)
@@ -138,15 +156,15 @@ class _Simplex:
 
     # -- certificates ------------------------------------------------------
 
-    def _dual(self, cost: List[Rat]) -> List[Rat]:
-        """y = c_B B^-1, read off the artificial block of the tableau."""
+    def _dual(self, cost: Sequence[int], scale: int) -> List[Rat]:
+        """y = c_B B^-1, read off the artificial block of the tableau, for
+        the integer cost vector scale * c."""
+        div = self.den * scale
         y = []
         for i in range(self.m):
             col = self.n + i
-            y.append(
-                self.art_sign[i]
-                * sum(cost[self.basis[k]] * self.tab[k][col] for k in range(self.m))
-            )
+            num = sum(cost[self.basis[k]] * self.tab[k][col] for k in range(self.m))
+            y.append(Fraction(self.art_sign[i] * num, div))
         return y
 
     def _column_dot(self, y: Sequence[Rat], j: int) -> Rat:
@@ -154,14 +172,16 @@ class _Simplex:
 
     # -- core iteration ----------------------------------------------------
 
-    def _reduced_costs(self, cost: List[Rat]) -> List[Rat]:
-        d = []
-        for j in range(self.ncols):
-            z = sum(cost[self.basis[k]] * self.tab[k][j] for k in range(self.m))
-            d.append(cost[j] - z)
+    def _reduced_costs(self, cost: Sequence[int]) -> List[int]:
+        """den * (c - c_B B^-1 [A | I]) for an integer cost vector."""
+        d = [self.den * c for c in cost]
+        for k, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb:
+                d = [v - cb * t for v, t in zip(d, self.tab[k])]
         return d
 
-    def _entering(self, d: List[Rat]) -> Optional[Tuple[int, int]]:
+    def _entering(self, d: List[int]) -> Optional[Tuple[int, int]]:
         for j in range(self.ncols):
             st = self.status[j]
             if st == _BASIC:
@@ -178,9 +198,10 @@ class _Simplex:
         return None
 
     def _step(self, j: int, dire: int) -> Optional[int]:
-        """One ratio-test move for entering column j; returns the pivot row,
-        or None when the move was a bound flip.  Raises on an unbounded ray
-        by returning -1 sentinel instead (caller decides)."""
+        """One ratio-test move for entering column j.  Returns the pivot row,
+        None when the move was a bound flip, or -1 when nothing bounds the
+        move (an unbounded direction; the caller decides)."""
+        den = self.den
         col = [self.tab[i][j] for i in range(self.m)]
         best: Bound = None
         leave_var = None
@@ -190,26 +211,28 @@ class _Simplex:
         elif dire < 0 and self.lo[j] is not None:
             best, leave_var = self.val[j] - self.lo[j], j
         for i in range(self.m):
-            delta = -dire * col[i]  # change of basic i per unit step
+            delta = -dire * col[i]  # den times the change of basic i per unit step
             if delta == 0:
                 continue
             b = self.basis[i]
             if delta < 0:
                 if self.lo[b] is None:
                     continue
-                theta = (self.val[b] - self.lo[b]) / (-delta)
+                theta = (self.val[b] - self.lo[b]) * den / (-delta)
             else:
                 if self.hi[b] is None:
                     continue
-                theta = (self.hi[b] - self.val[b]) / delta
+                theta = (self.hi[b] - self.val[b]) * den / delta
             if best is None or theta < best or (theta == best and b < leave_var):
                 best, leave_var, leave_row = theta, b, i
         if best is None:
             return -1  # unbounded direction
         theta = best
         newval = self.val[j] + dire * theta
+        move = dire * theta / den
         for i in range(self.m):
-            self.val[self.basis[i]] -= dire * col[i] * theta
+            if col[i]:
+                self.val[self.basis[i]] -= col[i] * move
         self.val[j] = newval
         if leave_var == j:  # bound flip, basis unchanged
             if self.status[j] != _FREE:
@@ -224,20 +247,30 @@ class _Simplex:
         )
         self.status[j] = _BASIC
         self.basis[i] = j
-        piv = self.tab[i][j]
-        self.tab[i] = [v / piv for v in self.tab[i]]
-        for k in range(self.m):
-            if k != i and self.tab[k][j] != 0:
-                f = self.tab[k][j]
-                self.tab[k] = [a - f * b2 for a, b2 in zip(self.tab[k], self.tab[i])]
+        self._pivot(i, j)
         return i
 
-    def _optimize(self, cost: List[Rat]):
-        """Run to optimality for max cost.x; returns ("optimal",) or
-        ("unbounded", j, dire) for the escaping column."""
+    def _pivot(self, i: int, j: int):
+        """Bareiss update of every other row and of rc; den becomes |piv|."""
+        prow = self.tab[i]
+        piv = prow[j]
+        if piv < 0:  # negating the pivot row negates the whole update
+            prow = self.tab[i] = [-v for v in prow]
+            piv = -piv
+        den = self.den
+        for k in range(self.m):
+            if k != i:
+                self.tab[k] = _bareiss_row(self.tab[k], prow, j, piv, den)
+        self.rc = _bareiss_row(self.rc, prow, j, piv, den)
+        self.den = piv
+
+    def _optimize(self, cost: Sequence[int]):
+        """Run to optimality for max cost.x with an integer cost vector;
+        returns ("optimal",) or ("unbounded", j, dire) for the escaping
+        column."""
+        self.rc = self._reduced_costs(cost)
         while True:
-            d = self._reduced_costs(cost)
-            pick = self._entering(d)
+            pick = self._entering(self.rc)
             if pick is None:
                 return ("optimal",)
             j, dire = pick
@@ -253,13 +286,13 @@ class _Simplex:
         return self.reoptimize(self.p.objective)
 
     def _phase1(self) -> Optional[LpResult]:
-        phase1 = [Fraction(0)] * self.n + [Fraction(-1)] * self.m
+        phase1 = [0] * self.n + [-1] * self.m
         out = self._optimize(phase1)
         if out[0] != "optimal":
             raise ArithmeticError("phase 1 cannot be unbounded")
         infeas = sum(self.val[self.n + i] for i in range(self.m))
         if infeas > 0:
-            y = self._dual(phase1)
+            y = self._dual(phase1, 1)
             farkas = tuple(-v for v in y)
             self._check_farkas(farkas)
             return LpResult(status="infeasible", farkas=farkas)
@@ -271,19 +304,21 @@ class _Simplex:
         """Maximize another objective from the current feasible basis.  Only
         valid after a solve that did not report infeasible."""
         cost = list(objective) + [Fraction(0)] * self.m
-        out = self._optimize(cost)
+        scale = lcm(*(c.denominator for c in objective))
+        icost = [c.numerator * (scale // c.denominator) for c in cost]
+        out = self._optimize(icost)
         if out[0] == "unbounded":
             _, j, dire = out
             ray = [Fraction(0)] * self.ncols
             ray[j] = Fraction(dire)
             for i in range(self.m):
-                ray[self.basis[i]] = -dire * self.tab[i][j]
+                ray[self.basis[i]] = Fraction(-dire * self.tab[i][j], self.den)
             ray = tuple(ray[: self.n])
             self._check_ray(ray, objective)
             return LpResult(status="unbounded", ray=ray)
         point = tuple(self.val[: self.n])
         value = sum(c * v for c, v in zip(objective, point))
-        y = tuple(self._dual(cost))
+        y = tuple(self._dual(icost, scale))
         self._check_optimal(point, value, y, cost)
         return LpResult(status="optimal", value=value, point=point, dual=y)
 
@@ -353,6 +388,17 @@ class _Simplex:
                 raise ArithmeticError("unbounded ray escapes a finite bound")
 
 
+def _bareiss_row(row: List[int], prow: List[int], j: int, piv: int, den: int) -> List[int]:
+    """Eliminate column j of row against the pivot row prow:
+    (piv*row - row[j]*prow) // den.  By Sylvester's identity every result
+    is, up to sign, a minor of the row-scaled [A | I], so the division is
+    exact."""
+    f = row[j]
+    if f == 0:
+        return row if piv == den else [v * piv // den for v in row]
+    return [(piv * a - f * b) // den for a, b in zip(row, prow)]
+
+
 def lp_solve(p: LpProblem, sense: str = "max") -> LpResult:
     """Exact simplex with Bland's rule; certificates are verified internally.
 
@@ -385,21 +431,15 @@ def lp_solve(p: LpProblem, sense: str = "max") -> LpResult:
 class BnbConfig:
     """branch_priority is a tuple of variable names tried in order; None
     selects the default (mu by descending kernel-column norm, then x by
-    index).  search and value_selection accept their single documented
-    values; they exist so configs serialize meaningfully."""
+    index).  node_limit caps the nodes of one search.  The search itself is
+    always depth-first, floor child first."""
 
     branch_priority: Optional[Tuple[str, ...]] = None
     node_limit: int = 1_000_000
-    search: str = "dfs"
-    value_selection: str = "floor_first"
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise DomainError("node_limit must be at least 1")
-        if self.search != "dfs":
-            raise DomainError("only dfs search is implemented")
-        if self.value_selection != "floor_first":
-            raise DomainError("only floor_first value selection is implemented")
         if self.branch_priority is not None:
             object.__setattr__(self, "branch_priority", tuple(self.branch_priority))
 
@@ -705,8 +745,6 @@ def compare_formulations(
     mu_only = BnbConfig(
         branch_priority=tuple("mu%d" % j for j in reversed(range(d))),
         node_limit=cfg.node_limit,
-        search=cfg.search,
-        value_selection=cfg.value_selection,
     )
     rows.append(_row("ahl", bnb_feasibility(sys, full, mu_only)))
 

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: small oracles and generators."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 from latref import make_decomposition
 from latref.exact import IntMatrix, RankError
@@ -67,3 +69,46 @@ def hnf_oracle(a):
         row += 1
         piv += 1
     return IntMatrix.from_cols(cols, rows=m)
+
+
+def laplace_det(mat):
+    """Determinant by cofactor expansion along the first row; small
+    matrices only, and deliberately not the library's Bareiss routine."""
+    if not mat:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * mat[0][j] * laplace_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+        if mat[0][j]
+    )
+
+
+def full_row_rank(rows):
+    m, n = len(rows), len(rows[0])
+    return any(
+        laplace_det([[row[j] for j in basic] for row in rows]) != 0
+        for basic in itertools.combinations(range(n), m)
+    )
+
+
+def box_vertices(rows, rhs, box):
+    """Every basic feasible point of {A x = b, lo <= x <= hi} for a full
+    row rank A and a finite box: m basic columns solved by Cramer's rule,
+    every other column at one of its two bounds."""
+    m, n = len(rows), len(box)
+    for basic in itertools.combinations(range(n), m):
+        sub = [[row[j] for j in basic] for row in rows]
+        d = laplace_det(sub)
+        if d == 0:
+            continue
+        rest = [j for j in range(n) if j not in basic]
+        for ends in itertools.product((0, 1), repeat=len(rest)):
+            x = [None] * n
+            for j, e in zip(rest, ends):
+                x[j] = Fraction(box[j][e])
+            r = [b - sum(row[j] * x[j] for j in rest) for row, b in zip(rows, rhs)]
+            for k, j in enumerate(basic):
+                swapped = [s[:k] + [v] + s[k + 1 :] for s, v in zip(sub, r)]
+                x[j] = Fraction(laplace_det(swapped)) / d
+            if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+                yield tuple(x)

@@ -6,6 +6,7 @@ import pytest
 
 from latref.cli import (
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -17,7 +18,7 @@ from latref.cli import (
 )
 from latref.exact import DomainError, IntMatrix
 from latref.lattice import lattice_hnf
-from latref.reformulate import EqualitySystem
+from latref.reformulate import EqualitySystem, IntegralityError
 
 CUWW1_TEXT = "1 5\n12223 12224 36674 61119 85569\n89643481\n"
 TWOROW_TEXT = "2 5\n1 -5 -4 11 5\n-13 -2 -12 -11 1\n8 -37\n"
@@ -267,6 +268,44 @@ def test_solve_node_limit_exits_3(tmp_path, capsys):
     assert rc == EXIT_RESOURCE
     assert obj["status"] == "node_limit"
     assert obj["nodes"] == 3
+
+
+def _raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target,exc,command,text",
+    [
+        ("latref.solver._Simplex._check_farkas",
+         ArithmeticError("Farkas certificate failed verification"),
+         "solve", "1 2\n3 5\n9\nbinary\n"),
+        ("latref.solver._Simplex._check_optimal",
+         ArithmeticError("duality gap in verified optimum"),
+         "solve", "1 2\n3 5\n8\n"),
+        ("latref.solver._BnbSpace.verify_integral",
+         ArithmeticError("integer certificate violates A x = b"),
+         "solve", "1 2\n3 5\n8\n"),
+        ("latref.cli.detect_decomposition",
+         IntegralityError("Hermite rescaling of P produced non-integers"),
+         "reformulate", CUWW1_TEXT),
+    ],
+)
+def test_internal_consistency_failure_exits_4(
+    tmp_path, capsys, monkeypatch, target, exc, command, text
+):
+    monkeypatch.setattr(target, _raiser(exc))
+    rc = main([command, write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(exc) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_gen_market_split_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -13,6 +14,7 @@ from latref import (
     make_decomposition,
     width_bounds,
 )
+from latref import solver
 from latref.exact import DomainError, IntMatrix, mat_mul, mat_vec, transpose
 from latref.lattice import kernel_and_solution, lll_reduce
 from latref.reformulate import (
@@ -22,7 +24,7 @@ from latref.reformulate import (
     dual_kernel,
     split_basis,
 )
-from support import random_decomposition
+from support import box_vertices, full_row_rank, random_decomposition
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481
@@ -91,6 +93,115 @@ def test_lp_cuww1_scaled_polytope():
     assert lp_solve(lp, "min").value == wa.zlower
 
 
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def column_sums(p, y):
+    return [dot(y, [row[j] for row in p.eq_lhs]) for j in range(p.ncols)]
+
+
+def assert_box_farkas(p, y):
+    """On the box, y.A x never reaches y.b."""
+    cap = sum(max(g * lo, g * hi) for g, (lo, hi) in zip(column_sums(p, y), p.var_bounds))
+    assert cap < dot(y, p.eq_rhs)
+
+
+def assert_box_optimum(p, r, sense, best):
+    assert r.status == "optimal" and r.value == best
+    assert dot(p.objective, r.point) == best
+    for row, b in zip(p.eq_lhs, p.eq_rhs):
+        assert dot(row, r.point) == b
+    assert all(lo <= v <= hi for v, (lo, hi) in zip(r.point, p.var_bounds))
+    # y.b plus the best the reduced costs can add on the box is the optimum
+    pick = max if sense == "max" else min
+    red = [c - g for c, g in zip(p.objective, column_sums(p, r.dual))]
+    assert dot(r.dual, p.eq_rhs) + sum(
+        pick(d * lo, d * hi) for d, (lo, hi) in zip(red, p.var_bounds)
+    ) == best
+
+
+def random_rational(rng, span=6):
+    return F(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def random_box_lp(rng):
+    while True:
+        m = rng.randint(1, 3)
+        n = rng.randint(m + 1, 5)
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(m)]
+        if not full_row_rank(rows):
+            continue
+        box = []
+        for _ in range(n):
+            lo = random_rational(rng, 3)
+            box.append((lo, lo + F(rng.randint(0, 6), rng.choice((1, 2, 3)))))
+        obj = [random_rational(rng) for _ in range(n)]
+        rhs = [random_rational(rng, 4) for _ in range(m)]
+        return LpProblem(tuple(obj), tuple(map(tuple, rows)), tuple(rhs), tuple(box))
+
+
+def test_lp_rational_box_vs_vertex_enumeration():
+    """Rational rows, rhs, objectives and bounds against the best of all
+    basic feasible points; infeasible draws must carry a Farkas vector."""
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(150):
+        p = random_box_lp(rng)
+        vertices = list(box_vertices(p.eq_lhs, p.eq_rhs, p.var_bounds))
+        for sense in ("max", "min"):
+            r = lp_solve(p, sense)
+            seen.add(r.status)
+            if not vertices:
+                assert r.status == "infeasible"
+                assert_box_farkas(p, r.farkas)
+                continue
+            values = [dot(p.objective, v) for v in vertices]
+            best = max(values) if sense == "max" else min(values)
+            assert_box_optimum(p, r, sense, best)
+    assert seen == {"optimal", "infeasible"}
+
+
+def test_lp_rational_unbounded_ray():
+    # x2 has no lower bound, so x0 and x1 can grow without end
+    p = LpProblem(
+        (1, F(1, 2), 0),
+        ((F(1, 2), F(-2, 3), 1),),
+        (F(5, 4),),
+        ((F(1, 3), None), (0, None), (None, F(7, 2))),
+    )
+    r = lp_solve(p, "max")
+    assert r.status == "unbounded"
+    assert dot(p.eq_lhs[0], r.ray) == 0
+    assert dot(p.objective, r.ray) > 0
+    for v, (lo, hi) in zip(r.ray, p.var_bounds):
+        assert not (v > 0 and hi is not None) and not (v < 0 and lo is not None)
+    low = lp_solve(p, "min")
+    assert low.status == "optimal" and low.value == F(1, 3)
+    assert low.point == (F(1, 3), 0, F(13, 12))
+
+
+def test_lp_negative_pivot(monkeypatch):
+    """x1 leaves at its upper bound, so the tableau pivots on a negative
+    entry and the integer rows change sign."""
+    signs = []
+    real = solver._Simplex._pivot
+
+    def spy(self, i, j):
+        signs.append(self.tab[i][j] < 0)
+        real(self, i, j)
+
+    monkeypatch.setattr(solver._Simplex, "_pivot", spy)
+    p = LpProblem(
+        (F(1, 2), -1), ((F(-1, 2), F(4, 3)),), (0,), ((0, 1), (0, F(1, 3)))
+    )
+    r = lp_solve(p)
+    assert any(signs)
+    assert r.value == F(1, 9) and r.point == (F(8, 9), F(1, 3))
+    values = [dot(p.objective, v) for v in box_vertices(p.eq_lhs, p.eq_rhs, p.var_bounds)]
+    assert_box_optimum(p, r, "max", max(values))
+
+
 def test_bnb_cuww1_root_prune():
     sys_ = knapsack_system(CUWW1, CUWW1_F)
     ef = detect_decomposition(sys_, FixedSplit(1)).formulation
@@ -140,6 +251,38 @@ def test_bnb_determinism():
     a = bnb_feasibility(ms)
     b = bnb_feasibility(ms)
     assert (a.status, a.nodes, a.proof_depth) == (b.status, b.nodes, b.proof_depth)
+
+
+# (formulation, status, nodes, proof depth) per seed of gen_market_split(2,
+# seed).  Every LP vertex depends on the whole simplex pivot sequence, so a
+# change to the tableau arithmetic that moves a pivot moves these counts.
+PINNED_M2 = {
+    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0)),
+    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0)),
+    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8)),
+    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0)),
+    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_M2))
+def test_bnb_pinned_node_counts_m2(seed):
+    tab = compare_formulations(gen_market_split(2, seed), (1, 4, 8))
+    got = [(r.label, r.status, r.nodes, r.proof_depth) for r in tab.rows]
+    original, s1 = PINNED_M2[seed]
+    root = ("infeasible", 1, 0)
+    assert got == [
+        original,
+        ("ahl",) + root,
+        s1,
+        ("ext s=4",) + root,
+        ("ext s=8",) + root,
+    ]
+
+
+def test_bnb_pinned_node_limit_m3():
+    r = bnb_feasibility(gen_market_split(3, 1), None, BnbConfig(node_limit=100))
+    assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
 
 
 def test_gen_market_split_shape():
