@@ -13,13 +13,11 @@ from .exact import (
     GramSchmidtData,
     IntMatrix,
     RankError,
-    det,
     extended_gcd,
     gram_schmidt,
     identity,
     mat_mul,
     mat_vec,
-    rational_solve,
     transpose,
 )
 from .knapsack import (
@@ -36,7 +34,6 @@ from .knapsack import (
     make_decomposition,
     representable_table,
     width_bounds,
-    width_q_shift_check,
 )
 from .lattice import (
     HnfResult,
@@ -44,12 +41,10 @@ from .lattice import (
     KernelSolveResult,
     LLLParams,
     hnf,
-    is_lll_reduced,
     kernel_and_solution,
     kernel_basis,
     lattice_hnf,
     lll_reduce,
-    solve_integer,
 )
 from .reformulate import (
     BasisSplit,

@@ -354,14 +354,11 @@ def _cmd_frobenius_exact(args, parser) -> int:
     return EXIT_OK
 
 
-def _bnb_config(args, priority=None) -> BnbConfig:
-    return BnbConfig(branch_priority=priority, node_limit=args.node_limit)
-
-
 def _cmd_solve(args, parser) -> int:
     sys_ = _read_system(args.file)
+    cfg = BnbConfig(node_limit=args.node_limit)
     if args.formulation == "orig":
-        res = bnb_feasibility(sys_, None, _bnb_config(args))
+        res = bnb_feasibility(sys_, None, cfg)
     else:
         ks = kernel_and_solution(sys_.a, sys_.b)
         if not ks.feasible:
@@ -369,10 +366,7 @@ def _cmd_solve(args, parser) -> int:
         d = sys_.n - sys_.m
         s = d if args.formulation == "ahl" else (args.s if args.s is not None else 1)
         ef = build_extended(sys_, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0)
-        priority = None
-        if args.formulation == "ahl":
-            priority = tuple("mu%d" % j for j in reversed(range(d)))
-        res = bnb_feasibility(sys_, ef, _bnb_config(args, priority))
+        res = bnb_feasibility(sys_, ef, cfg)
     obj = {
         "status": res.status,
         "nodes": res.nodes,

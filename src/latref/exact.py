@@ -6,10 +6,8 @@ Everything here is exact: integers are Python ints, rationals are
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence, Tuple
 
-Rational = Fraction
 IntVector = Tuple[int, ...]
 RatVector = Tuple[Fraction, ...]
 
@@ -86,18 +84,6 @@ def norm_sq(u: Sequence):
     return sum(a * a for a in u)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, stored as a tuple of row tuples.
@@ -158,10 +144,6 @@ def identity(n: int) -> IntMatrix:
     return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
 
-def zeros(r: int, c: int) -> IntMatrix:
-    return IntMatrix.from_rows([[0] * c for _ in range(r)], cols=c)
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([a.col(j) for j in range(a.cols)], cols=a.rows)
 
@@ -179,39 +161,6 @@ def mat_vec(a: IntMatrix, x: Sequence[int]) -> IntVector:
     if a.cols != len(x):
         raise DimensionError("matrix is %dx%d, vector has length %d" % (a.rows, a.cols, len(x)))
     return tuple(dot(r, x) for r in a.data)
-
-
-def vec_mat(y: Sequence[int], a: IntMatrix) -> IntVector:
-    if a.rows != len(y):
-        raise DimensionError("vector has length %d, matrix is %dx%d" % (len(y), a.rows, a.cols))
-    return tuple(dot(y, a.col(j)) for j in range(a.cols))
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if a.rows != a.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -257,45 +206,3 @@ def gram_schmidt(basis: IntMatrix) -> GramSchmidtData:
         norms.append(ns)
         mu.append(murow)
     return GramSchmidtData(tuple(bstar), tuple(tuple(r) for r in mu), tuple(norms))
-
-
-def rational_solve(rows: Sequence[Sequence], rhs: Sequence):
-    """Solve a linear system exactly over the rationals.
-
-    ``rows`` is any rectangular iterable of ints or Fractions.  Returns one
-    solution as a tuple of Fractions (free variables set to 0), or None if
-    the system is inconsistent.
-    """
-    m = len(rows)
-    a = [[Fraction(e) for e in r] for r in rows]
-    b = [Fraction(e) for e in rhs]
-    if len(b) != m:
-        raise DimensionError("rhs length %d for %d rows" % (len(b), m))
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        b[r], b[p] = b[p], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [e * inv for e in a[r]]
-        b[r] *= inv
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * g for e, g in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if b[i] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = b[i]
-    return tuple(x)

@@ -9,13 +9,13 @@ Frobenius number by a residue-table shortest path.
 """
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exact import DomainError, IntMatrix, IntVector, extended_gcd, identity, vec
-from .lattice import hnf
+from .lattice import forward_substitute, hnf
 
 
 class ValidationError(ValueError):
@@ -84,13 +84,13 @@ def make_decomposition(a, p1, p2, m1: int, m2: int) -> Decomposition:
     res = hnf(IntMatrix.from_rows([p1, p2]))  # RankError if the rows are dependent
     if res.d.data != identity(2).data:
         d = res.d.data
-        # left-multiply (p1; p2) by D^{-1}; integrality is guaranteed because
-        # every column of the stacked rows lies in the lattice D generates
-        f1 = [Fraction(x, d[0][0]) for x in p1]
-        f2 = [Fraction(y, d[1][1]) - Fraction(d[1][0], d[1][1]) * x for x, y in zip(f1, p2)]
-        if any(f.denominator != 1 for f in f1 + f2):
+        # left-multiply (p1; p2) by D^{-1}, column by column; integrality is
+        # guaranteed because every column of the stacked rows lies in the
+        # lattice D generates
+        cols = [forward_substitute(d, col) for col in zip(p1, p2)]
+        if None in cols:
             raise ValidationError("Hermite rescaling produced non-integers (broken input)")
-        p1, p2 = tuple(int(f) for f in f1), tuple(int(f) for f in f2)
+        p1, p2 = zip(*cols)
         m1, m2 = m1 * d[0][0] + m2 * d[1][0], m2 * d[1][1]
         if m1 == 0 or m2 == 0:
             raise ValidationError("degenerate decomposition: a multiplier vanished after rescaling")
@@ -118,15 +118,13 @@ class WidthValue(NamedTuple):
 class WidthAnalysis:
     """Exact interval [zlower, zbar] for the aggregated variable at b = 1.
 
-    k maximizes p1[i]/a[i], j minimizes it (ties to the lowest index);
-    width_fn(b) is the reported integer width at right-hand side b.
+    k maximizes p1[i]/a[i], j minimizes it (ties to the lowest index).
     """
 
     j: int
     k: int
     zbar: Fraction
     zlower: Fraction
-    width_fn: Callable[[int], int]
 
 
 def _argminmax(d: Decomposition) -> Tuple[int, int]:
@@ -145,11 +143,7 @@ def width_bounds(d: Decomposition) -> WidthAnalysis:
     j, k = _argminmax(d)
     zbar = Fraction(d.p1[k], d.m2 * d.a[k]) - Fraction(d.q1, d.m2)
     zlower = Fraction(d.p1[j], d.m2 * d.a[j]) - Fraction(d.q1, d.m2)
-
-    def width_fn(b: int) -> int:
-        return integer_width(d, b).clamped
-
-    return WidthAnalysis(j, k, zbar, zlower, width_fn)
+    return WidthAnalysis(j, k, zbar, zlower)
 
 
 def integer_width(d: Decomposition, b: int) -> WidthValue:
@@ -288,11 +282,3 @@ def representable_table(a) -> List[int]:
     nonnegative integer solution of a.x = b iff t[b % min(a)] <= b.
     """
     return _residue_minima(_validate_generators(a))
-
-
-def width_q_shift_check(d: Decomposition, b: int, lam: int) -> bool:
-    """Integer width is invariant under (q1, q2) -> (q1 - lam*m2, q2 + lam*m1)."""
-    shifted = replace(d, q1=d.q1 - lam * d.m2, q2=d.q2 + lam * d.m1)
-    w0 = integer_width(d, b)
-    w1 = integer_width(shifted, b)
-    return (w0.raw, w0.clamped) == (w1.raw, w1.clamped)

@@ -7,8 +7,9 @@ kernel-plus-particular-solution computation for A x = b.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Tuple
+from math import gcd, prod
+from operator import mul
+from typing import List, Optional
 
 from .exact import (
     DimensionError,
@@ -85,23 +86,6 @@ def lll_reduce(basis: IntMatrix, params: LLLParams = None) -> IntMatrix:
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
     return IntMatrix.from_cols([tuple(c) for c in b], rows=basis.rows)
-
-
-def is_lll_reduced(basis: IntMatrix, params: LLLParams = None) -> bool:
-    """Independent check of both LLL conditions, via a fresh orthogonalization."""
-    if params is None:
-        params = LLLParams()
-    gs = gram_schmidt(basis)
-    half = Fraction(1, 2)
-    for j in range(basis.cols):
-        for k in range(j):
-            if abs(gs.mu[j][k]) > half:
-                return False
-        if j >= 1:
-            lhs = gs.norms_sq[j] + gs.mu[j][j - 1] ** 2 * gs.norms_sq[j - 1]
-            if lhs < params.delta * gs.norms_sq[j - 1]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +195,22 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([row[r:] for row in u], cols=a.cols - r)
 
 
+def forward_substitute(rows, rhs) -> Optional[List[int]]:
+    """Integer y with sum_{j <= i} rows[i][j] * y[j] = rhs[i] for every i.
+
+    ``rows`` is lower triangular with a nonzero diagonal; entries right of
+    the diagonal are never read.  Returns None as soon as a division
+    leaves a remainder, i.e. when the solution is not integral.
+    """
+    y: List[int] = []
+    for row, r in zip(rows, rhs):
+        q, rem = divmod(r - sum(map(mul, row, y)), row[len(y)])
+        if rem:
+            return None
+        y.append(q)
+    return y
+
+
 class IntegerSolver:
     """Repeated integer solves of a x = rhs against a fixed matrix.
 
@@ -222,28 +222,21 @@ class IntegerSolver:
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self.h, self.u, self.pivots = _column_echelon(a)
+        h, self.u, self.pivots = _column_echelon(a)
+        self.pivot_rows = [h[i] for i in self.pivots]
 
     def solve(self, rhs) -> Optional[IntVector]:
         if len(rhs) != self.a.rows:
             raise DimensionError("rhs length %d for %d rows" % (len(rhs), self.a.rows))
-        h, u, pivots = self.h, self.u, self.pivots
-        n = self.a.cols
-        w = [0] * n
-        for t, i in enumerate(pivots):
-            val = rhs[i] - sum(h[i][j] * w[j] for j in range(t))
-            if val % h[i][t] != 0:
-                return None
-            w[t] = val // h[i][t]
-        x = tuple(sum(u[i][j] * w[j] for j in range(n)) for i in range(n))
+        w = forward_substitute(self.pivot_rows, [rhs[i] for i in self.pivots])
+        if w is None:
+            return None
+        # w holds the pivot columns' weights; map stops there, so the
+        # columns past the rank count as 0
+        x = tuple(sum(map(mul, row, w)) for row in self.u)
         if mat_vec(self.a, x) != tuple(rhs):
             return None
         return x
-
-
-def solve_integer(a: IntMatrix, rhs: IntVector) -> Optional[IntVector]:
-    """One integer solution of a x = rhs, or None when none exists."""
-    return IntegerSolver(a).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +268,8 @@ def kernel_and_solution(a: IntMatrix, b, strategy: str = "embedding",
     strategy "embedding" runs LLL once on an (n+m+1) x (n+1) weighted
     embedding whose reduced basis exposes both the kernel and the solution;
     strategy "hnf" takes the kernel columns from the HNF transformation
-    matrix and back-substitutes for the solution.  Both agree on the kernel
-    lattice and on scale_k, which the test suite cross-checks.
+    matrix and forward-substitutes through D for the solution.  Both agree
+    on the kernel lattice and on scale_k, which the test suite cross-checks.
     """
     b = vec(b)
     if len(b) != a.rows:
@@ -294,24 +287,20 @@ def _solve_hnf(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
     kern = IntMatrix.from_rows([row[m:] for row in res.u.data], cols=n - m)
     if kern.cols > 0:
         kern = lll_reduce(kern, params)
-    # forward substitution through the triangular d, tracking denominators
-    y: List[Fraction] = []
-    for i in range(m):
-        val = Fraction(b[i]) - sum(res.d.data[i][j] * y[j] for j in range(i))
-        y.append(val / res.d.data[i][i])
-    k = lcm(*(f.denominator for f in y)) if y else 1
-    w = [int(k * f) for f in y] + [0] * (n - m)
+    # D y = delta b with delta = prod(diag D) always has an integer solution;
+    # dividing out g = gcd(delta, y) leaves the least scale_k = delta / g
+    delta = prod(res.d.data[i][i] for i in range(m))
+    y = forward_substitute(res.d.data, [delta * e for e in b])
+    g = gcd(delta, *y)
+    k = delta // g
+    w = [e // g for e in y] + [0] * (n - m)
     x0 = mat_vec(res.u, w)
     return KernelSolveResult(kern, x0, k == 1, k)
 
 
 def _solve_embedding(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
     m, n = a.rows, a.cols
-    # reject rank-deficient input up front; the embedding would only fail opaquely
-    _, _, pivots = _column_echelon(a)
-    if pivots != list(range(m)):
-        missing = next(i for i in range(m) if i not in pivots)
-        raise RankError("matrix does not have full row rank (row %d)" % missing, index=missing)
+    hnf(a)  # reject rank-deficient input up front; the embedding would only fail opaquely
     biggest = max([1] + [abs(e) for row in a.data for e in row] + [abs(e) for e in b])
     n1 = 2 * n * biggest
     for _attempt in range(4):

@@ -12,8 +12,7 @@ into width and Frobenius statements.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .exact import (
     DimensionError,
@@ -227,9 +226,11 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
     """Assemble the extended formulation for a chosen kernel split.
 
     P spans the dual of the short block, M recombines A = M P, T = P S.
-    When the Hermite form of P is (D|0) with D != I the whole system is
-    rescaled by D^{-1} (P must hit all of Z^{m+s} for integer-equivalence
-    statements downstream), and M, T are re-derived from the rescaled P.
+    The rows of P generate all of Z^{m+s} (the integer-equivalence
+    statements downstream rely on it): P is a basis of a kernel lattice,
+    and kernel lattices are primitive, so the Hermite form of P is
+    (I | 0).  That invariant is checked, and IntegralityError raised when
+    it fails.
     """
     x0 = vec(x0)
     if mat_vec(sys.a, x0) != sys.b:
@@ -243,28 +244,11 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
         raise ValidationError("split columns do not match the kernel basis")
 
     p = transpose(dual_kernel(split.short, params))
-    res = hnf(p)
-    if res.d.data != identity(p.rows).data:
-        p = _left_divide(res.d, p)
+    if hnf(p).d.data != identity(p.rows).data:
+        raise IntegralityError("rows of P do not generate Z^%d (Hermite form is not I)" % p.rows)
     m_mat = solve_multipliers(p, sys.a)
     t = mat_mul(p, split.long)
     return ExtendedFormulation(p, m_mat, t, x0, split.s, mat_vec(p, x0))
-
-
-def _left_divide(d: IntMatrix, p: IntMatrix) -> IntMatrix:
-    """D^{-1} P for lower-triangular D; entries are guaranteed integral."""
-    k = d.rows
-    out = []
-    for j in range(p.cols):
-        col = p.col(j)
-        y: List[Fraction] = []
-        for i in range(k):
-            val = Fraction(col[i]) - sum(d.data[i][t] * y[t] for t in range(i))
-            y.append(val / d.data[i][i])
-        if any(f.denominator != 1 for f in y):
-            raise IntegralityError("Hermite rescaling of P produced non-integers")
-        out.append(tuple(int(f) for f in y))
-    return IntMatrix.from_cols(out, rows=k)
 
 
 @dataclass(frozen=True)
@@ -322,7 +306,6 @@ class DetectionResult:
 
 
 def detect_decomposition(sys: EqualitySystem, policy=None,
-                         strategy: str = "embedding",
                          params: LLLParams = None) -> DetectionResult:
     """Run the full detection pipeline on A x = b.
 
@@ -335,7 +318,7 @@ def detect_decomposition(sys: EqualitySystem, policy=None,
     """
     if policy is None:
         policy = RatioSplit()
-    ks = kernel_and_solution(sys.a, sys.b, strategy=strategy, params=params)
+    ks = kernel_and_solution(sys.a, sys.b, params=params)
     if not ks.feasible:
         raise IntegerInfeasibleError(ks.scale_k, ks.x0)
     split = split_basis(ks.q, policy)

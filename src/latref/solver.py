@@ -729,9 +729,9 @@ def compare_formulations(
     params: Optional[LLLParams] = None,
 ) -> ComparisonTable:
     """Run the same feasibility question through the original system, the
-    full substitution (branching on multipliers only), and one extended
-    formulation per requested s.  Decided statuses must agree; node-limited
-    rows are reported as-is.
+    full substitution (s = n - m, so x follows from the multipliers), and
+    one extended formulation per requested s.  Decided statuses must agree;
+    node-limited rows are reported as-is.
     """
     cfg = cfg or BnbConfig()
     ks = kernel_and_solution(sys.a, sys.b, params=params)
@@ -741,15 +741,11 @@ def compare_formulations(
 
     rows = [_row("original", bnb_feasibility(sys, None, cfg))]
 
-    full = build_extended(sys, split_basis(ks.q, FixedSplit(d)), ks.q, ks.x0)
-    mu_only = BnbConfig(
-        branch_priority=tuple("mu%d" % j for j in reversed(range(d))),
-        node_limit=cfg.node_limit,
-    )
-    rows.append(_row("ahl", bnb_feasibility(sys, full, mu_only)))
+    full = build_extended(sys, split_basis(ks.q, FixedSplit(d)), ks.q, ks.x0, params)
+    rows.append(_row("ahl", bnb_feasibility(sys, full, cfg)))
 
     for s in s_values:
-        ef = build_extended(sys, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0)
+        ef = build_extended(sys, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0, params)
         rows.append(_row("ext s=%d" % s, bnb_feasibility(sys, ef, cfg)))
 
     decided = {r.status for r in rows if r.status != "node_limit"}

@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from latref import make_decomposition
-from latref.exact import IntMatrix, RankError
-from latref.knapsack import ValidationError
+from latref.exact import DimensionError, IntMatrix, IntVector, RankError, gram_schmidt
+from latref.knapsack import Decomposition, ValidationError, integer_width
+from latref.lattice import IntegerSolver, LLLParams
 
 
 def representable_sieve(a, limit):
@@ -112,3 +115,106 @@ def box_vertices(rows, rhs, box):
                 x[j] = Fraction(laplace_det(swapped)) / d
             if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
                 yield tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra, LLL and width checks used only as test oracles
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    if a.rows != a.cols:
+        raise DimensionError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def rational_solve(rows: Sequence[Sequence], rhs: Sequence):
+    """Solve a linear system exactly over the rationals.
+
+    ``rows`` is any rectangular iterable of ints or Fractions.  Returns one
+    solution as a tuple of Fractions (free variables set to 0), or None if
+    the system is inconsistent.
+    """
+    m = len(rows)
+    a = [[Fraction(e) for e in r] for r in rows]
+    b = [Fraction(e) for e in rhs]
+    if len(b) != m:
+        raise DimensionError("rhs length %d for %d rows" % (len(b), m))
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        b[r], b[p] = b[p], b[r]
+        inv = 1 / a[r][c]
+        a[r] = [e * inv for e in a[r]]
+        b[r] *= inv
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [e - f * g for e, g in zip(a[i], a[r])]
+                b[i] -= f * b[r]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if b[i] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = b[i]
+    return tuple(x)
+
+
+def is_lll_reduced(basis: IntMatrix, params: LLLParams = None) -> bool:
+    """Independent check of both LLL conditions, via a fresh orthogonalization."""
+    if params is None:
+        params = LLLParams()
+    gs = gram_schmidt(basis)
+    half = Fraction(1, 2)
+    for j in range(basis.cols):
+        for k in range(j):
+            if abs(gs.mu[j][k]) > half:
+                return False
+        if j >= 1:
+            lhs = gs.norms_sq[j] + gs.mu[j][j - 1] ** 2 * gs.norms_sq[j - 1]
+            if lhs < params.delta * gs.norms_sq[j - 1]:
+                return False
+    return True
+
+
+def solve_integer(a: IntMatrix, rhs: IntVector) -> Optional[IntVector]:
+    """One integer solution of a x = rhs, or None when none exists."""
+    return IntegerSolver(a).solve(rhs)
+
+
+def width_q_shift_check(d: Decomposition, b: int, lam: int) -> bool:
+    """Integer width is invariant under (q1, q2) -> (q1 - lam*m2, q2 + lam*m1)."""
+    shifted = replace(d, q1=d.q1 - lam * d.m2, q2=d.q2 + lam * d.m1)
+    w0 = integer_width(d, b)
+    w1 = integer_width(shifted, b)
+    return (w0.raw, w0.clamped) == (w1.raw, w1.clamped)

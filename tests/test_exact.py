@@ -8,7 +8,6 @@ from latref.exact import (
     DimensionError,
     IntMatrix,
     RankError,
-    det,
     dot,
     extended_gcd,
     gram_schmidt,
@@ -16,9 +15,9 @@ from latref.exact import (
     mat_mul,
     mat_vec,
     norm_sq,
-    rational_solve,
     transpose,
 )
+from support import det, rational_solve
 
 
 def det_oracle(m):

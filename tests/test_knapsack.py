@@ -15,11 +15,10 @@ from latref import (
     make_decomposition,
     representable_table,
     width_bounds,
-    width_q_shift_check,
 )
 from latref.exact import RankError
 from latref.solver import LpProblem
-from support import random_decomposition, representable_sieve
+from support import random_decomposition, representable_sieve, width_q_shift_check
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_P1 = (-1, 0, 2, -1, 1)

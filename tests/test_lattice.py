@@ -3,19 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from latref.exact import IntMatrix, RankError, det, identity, mat_vec, norm_sq
+from latref.exact import IntMatrix, RankError, identity, mat_vec, norm_sq
 from latref.lattice import (
     IntegerSolver,
     LLLParams,
+    forward_substitute,
     hnf,
-    is_lll_reduced,
     kernel_and_solution,
     kernel_basis,
     lattice_hnf,
     lll_reduce,
-    solve_integer,
 )
-from support import hnf_oracle
+from support import det, hnf_oracle, is_lll_reduced, solve_integer
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 
@@ -222,12 +221,20 @@ def test_kernel_strategies_cross_check():
         hn = kernel_and_solution(a, b, strategy="hnf")
         done += 1
         assert lattice_hnf(emb.q).data == lattice_hnf(hn.q).data
-        assert emb.feasible == hn.feasible
+        assert (emb.feasible, emb.scale_k) == (hn.feasible, hn.scale_k)
         for ks in (emb, hn):
             for c in ks.q.col_list():
                 assert mat_vec(a, c) == (0,) * m
-            if ks.feasible:
-                assert mat_vec(a, ks.x0) == b
+            assert mat_vec(a, ks.x0) == tuple(ks.scale_k * e for e in b)
+
+
+def test_forward_substitute():
+    d = ((2, 99), (1, 3))  # the entry right of the diagonal is never read
+    assert forward_substitute(d, (4, 5)) == [2, 1]
+    assert forward_substitute(d, (-4, -11)) == [-2, -3]
+    assert forward_substitute(d, (3, 5)) is None
+    assert forward_substitute(d, (4, 4)) is None
+    assert forward_substitute((), ()) == []
 
 
 def test_solve_integer():

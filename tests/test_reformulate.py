@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from latref.exact import DomainError, IntMatrix, identity, mat_mul, mat_vec, norm_sq
-from latref.lattice import kernel_basis, lattice_hnf, lll_reduce
+from latref import reformulate
+from latref.lattice import kernel_and_solution, kernel_basis, lattice_hnf, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
     FixedSplit,
     IntegerInfeasibleError,
+    IntegralityError,
     RatioSplit,
+    build_extended,
     detect_decomposition,
     dual_kernel,
     project_affine,
@@ -149,6 +152,22 @@ def test_build_extended_ahl_and_degenerate():
     assert flat.t.cols == 0
     assert rational_rank([list(flat.p.row(0))]) == 1
     assert mat_mul(flat.m_mat, flat.p).data == sys_.a.data
+
+
+def test_build_extended_rejects_non_primitive_p(monkeypatch):
+    """A P whose rows miss part of Z^{m+s} is reported, not rescaled away."""
+    real = reformulate.dual_kernel
+
+    def doubled(r, params=None):
+        cols = real(r, params).col_list()
+        cols[0] = tuple(2 * x for x in cols[0])
+        return IntMatrix.from_cols(cols, rows=r.rows)
+
+    monkeypatch.setattr(reformulate, "dual_kernel", doubled)
+    sys_ = EqualitySystem(TWOROW_A, TWOROW_B)
+    ks = kernel_and_solution(sys_.a, sys_.b)
+    with pytest.raises(IntegralityError):
+        build_extended(sys_, split_basis(ks.q, FixedSplit(1)), ks.q, ks.x0)
 
 
 def test_equivalence_small_ahl():

@@ -16,7 +16,7 @@ from latref import (
 )
 from latref import solver
 from latref.exact import DomainError, IntMatrix, mat_mul, mat_vec, transpose
-from latref.lattice import kernel_and_solution, lll_reduce
+from latref.lattice import LLLParams, kernel_and_solution, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
     FixedSplit,
@@ -373,6 +373,22 @@ def test_compare_formulations_cuww1():
     decided = [r for r in tab.rows if r.status != "node_limit"]
     assert decided and all(r.status == "infeasible" for r in decided)
     assert by_label["ext s=1"].nodes <= by_label["ahl"].nodes + 5
+
+
+def test_compare_formulations_passes_lll_params(monkeypatch):
+    deltas = []
+
+    def recording(basis, params=None):
+        deltas.append(None if params is None else params.delta)
+        return lll_reduce(basis, params)
+
+    monkeypatch.setattr("latref.lattice.lll_reduce", recording)
+    monkeypatch.setattr("latref.reformulate.lll_reduce", recording)
+    compare_formulations(gen_market_split(2, 1), (1, 4), BnbConfig(node_limit=50),
+                         params=LLLParams(1))
+    # the kernel basis, then the dual kernels of the s=1 and s=4 short blocks
+    assert len(deltas) >= 3
+    assert set(deltas) == {1}
 
 
 def test_compare_formulations_market_split():
