@@ -188,11 +188,11 @@ def frobenius_lower_bound(d: Decomposition) -> FrobeniusBound:
     (named 1a/2a/3a and 1b/2b/3b in reports) and mirrored bound
     expressions.  Assumption failures are reported by name, never raised.
     """
-    j, k = _argminmax(d)
+    w = width_bounds(d)
+    j, k = w.j, w.k
     aj, ak = d.a[j], d.a[k]
     pj, pk = d.p1[j], d.p1[k]
     m2, q1 = d.m2, d.q1
-    w = width_bounds(d)
     case = "nonpositive_q1" if q1 <= 0 else "positive_q1"
 
     if w.zbar == w.zlower:

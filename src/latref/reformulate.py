@@ -58,7 +58,7 @@ class EqualitySystem:
     """A x = b with optional per-variable integer bounds.
 
     A must have full row rank; bounds, when present, cover every variable
-    (use None entries for unbounded directions).
+    with int entries (use None entries for unbounded directions).
     """
 
     a: IntMatrix
@@ -78,6 +78,9 @@ class EqualitySystem:
                 v = tuple(v)
                 if len(v) != self.a.cols:
                     raise DimensionError("%s must have one entry per variable" % name)
+                for e in v:
+                    if e is not None and (not isinstance(e, int) or isinstance(e, bool)):
+                        raise TypeError("%s entries must be int or None, got %r" % (name, e))
                 object.__setattr__(self, name, v)
         if self.var_lower is not None and self.var_upper is not None:
             for lo, hi in zip(self.var_lower, self.var_upper):

@@ -13,7 +13,7 @@ and "mu0", "mu1", ... for the multipliers of an extended formulation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import ceil, floor, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import DimensionError, DomainError, IntMatrix, mat_vec
@@ -27,7 +27,6 @@ from .reformulate import (
     split_basis,
 )
 
-Rat = Fraction
 Bound = Optional[Fraction]
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
@@ -53,9 +52,9 @@ class LpProblem:
     direction is unbounded.
     """
 
-    objective: Tuple[Rat, ...]
-    eq_lhs: Tuple[Tuple[Rat, ...], ...]
-    eq_rhs: Tuple[Rat, ...]
+    objective: Tuple[Fraction, ...]
+    eq_lhs: Tuple[Tuple[Fraction, ...], ...]
+    eq_rhs: Tuple[Fraction, ...]
     var_bounds: Tuple[Tuple[Bound, Bound], ...]
 
     def __post_init__(self):
@@ -84,15 +83,21 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Optional[Rat] = None
-    point: Optional[Tuple[Rat, ...]] = None
-    dual: Optional[Tuple[Rat, ...]] = None
-    farkas: Optional[Tuple[Rat, ...]] = None
-    ray: Optional[Tuple[Rat, ...]] = None
+    value: Optional[Fraction] = None
+    point: Optional[Tuple[Fraction, ...]] = None
+    dual: Optional[Tuple[Fraction, ...]] = None
+    farkas: Optional[Tuple[Fraction, ...]] = None
+    ray: Optional[Tuple[Fraction, ...]] = None
 
 
 class _Simplex:
     """Bounded-variable two-phase simplex on a fraction-free integer tableau.
+
+    The inputs are plain sequences: rows and rhs of ints or Fractions, and
+    one (lower, upper) pair per column of ints, Fractions or None.  They are
+    kept as given and the certificate checks read them directly.  Column
+    values are always Fractions, so every ratio and value update is exact
+    whatever mix of ints and Fractions comes in.
 
     The tableau B^-1 [A | I] is held as Python ints T over one common
     denominator den > 0: the true entry is T[i][j] / den, and den is |det B|
@@ -100,7 +105,7 @@ class _Simplex:
     T'[k] = (piv*T[k] - T[k][j]*T[i]) // den, whose division is exact; den
     then becomes |piv|.  The reduced-cost row rc = den * (c - c_B B^-1 [A | I])
     is built once per optimisation and rides along as one more row under the
-    same update.  Column values stay Fractions.
+    same update.
 
     A row with fractional entries is scaled by the lcm of its denominators,
     its artificial column included, which leaves B^-1 [A | I] unchanged; den
@@ -113,39 +118,38 @@ class _Simplex:
     off the tableau for the dual and Farkas certificates.
     """
 
-    def __init__(self, p: LpProblem):
-        self.p = p
-        self.m = len(p.eq_lhs)
-        self.n = p.ncols
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence, bounds: Sequence[Tuple]):
+        self.rows, self.rhs, self.bounds = rows, rhs, bounds
+        self.m = len(rows)
+        self.n = len(bounds)
         self.ncols = self.n + self.m
-        self.lo: List[Bound] = [b[0] for b in p.var_bounds] + [Fraction(0)] * self.m
-        self.hi: List[Bound] = [b[1] for b in p.var_bounds] + [None] * self.m
+        self.lo = [b[0] for b in bounds] + [0] * self.m
+        self.hi = [b[1] for b in bounds] + [None] * self.m
         self.status = []
-        self.val: List[Rat] = []  # current value of every column
-        for j in range(self.n):
-            lo, hi = self.lo[j], self.hi[j]
+        self.val: List[Fraction] = []  # current value of every column
+        for lo, hi in bounds:
             if lo is not None:
                 self.status.append(_AT_LOWER)
-                self.val.append(lo)
+                self.val.append(Fraction(lo))
             elif hi is not None:
                 self.status.append(_AT_UPPER)
-                self.val.append(hi)
+                self.val.append(Fraction(hi))
             else:
                 self.status.append(_FREE)
                 self.val.append(Fraction(0))
 
         resid = [
-            p.eq_rhs[i] - sum(p.eq_lhs[i][j] * self.val[j] for j in range(self.n))
+            Fraction(rhs[i]) - sum(a * v for a, v in zip(rows[i], self.val))
             for i in range(self.m)
         ]
         self.art_sign = [1 if r >= 0 else -1 for r in resid]
         # tab = den B^-1 [A | S] with B the (signed) artificial columns, so the
         # artificial block starts as den times the identity.
-        self.den = prod(lcm(*(v.denominator for v in row)) for row in p.eq_lhs)
+        self.den = prod(lcm(*(v.denominator for v in row)) for row in rows)
         self.tab: List[List[int]] = []
         for i in range(self.m):
             f = self.art_sign[i] * self.den
-            row = [f * v.numerator // v.denominator for v in p.eq_lhs[i]]
+            row = [f * v.numerator // v.denominator for v in rows[i]]
             row += [self.den if k == i else 0 for k in range(self.m)]
             self.tab.append(row)
         self.rc: List[int] = []
@@ -156,7 +160,7 @@ class _Simplex:
 
     # -- certificates ------------------------------------------------------
 
-    def _dual(self, cost: Sequence[int], scale: int) -> List[Rat]:
+    def _dual(self, cost: Sequence[int], scale: int) -> List[Fraction]:
         """y = c_B B^-1, read off the artificial block of the tableau, for
         the integer cost vector scale * c."""
         div = self.den * scale
@@ -167,8 +171,8 @@ class _Simplex:
             y.append(Fraction(self.art_sign[i] * num, div))
         return y
 
-    def _column_dot(self, y: Sequence[Rat], j: int) -> Rat:
-        return sum(y[i] * self.p.eq_lhs[i][j] for i in range(self.m))
+    def _column_dot(self, y: Sequence[Fraction], j: int) -> Fraction:
+        return sum(y[i] * self.rows[i][j] for i in range(self.m))
 
     # -- core iteration ----------------------------------------------------
 
@@ -279,11 +283,11 @@ class _Simplex:
 
     # -- public driver -----------------------------------------------------
 
-    def solve_max(self) -> LpResult:
+    def solve_max(self, objective: Sequence) -> LpResult:
         bad = self._phase1()
         if bad is not None:
             return bad
-        return self.reoptimize(self.p.objective)
+        return self.reoptimize(objective)
 
     def _phase1(self) -> Optional[LpResult]:
         phase1 = [0] * self.n + [-1] * self.m
@@ -297,13 +301,14 @@ class _Simplex:
             self._check_farkas(farkas)
             return LpResult(status="infeasible", farkas=farkas)
         for i in range(self.m):
-            self.hi[self.n + i] = Fraction(0)
+            self.hi[self.n + i] = 0
         return None
 
-    def reoptimize(self, objective: Sequence[Rat]) -> LpResult:
-        """Maximize another objective from the current feasible basis.  Only
-        valid after a solve that did not report infeasible."""
-        cost = list(objective) + [Fraction(0)] * self.m
+    def reoptimize(self, objective: Sequence) -> LpResult:
+        """Maximize another objective, ints or Fractions, from the current
+        feasible basis.  Only valid after a solve that did not report
+        infeasible."""
+        cost = list(objective) + [0] * self.m
         scale = lcm(*(c.denominator for c in objective))
         icost = [c.numerator * (scale // c.denominator) for c in cost]
         out = self._optimize(icost)
@@ -324,18 +329,17 @@ class _Simplex:
 
     # -- verification ------------------------------------------------------
 
-    def _check_primal(self, point: Sequence[Rat]):
-        p = self.p
+    def _check_primal(self, point: Sequence[Fraction]):
         for i in range(self.m):
-            if sum(p.eq_lhs[i][j] * point[j] for j in range(self.n)) != p.eq_rhs[i]:
+            if sum(a * v for a, v in zip(self.rows[i], point)) != self.rhs[i]:
                 raise ArithmeticError("primal point violates equality row %d" % i)
-        for j, (lo, hi) in enumerate(p.var_bounds):
+        for j, (lo, hi) in enumerate(self.bounds):
             if (lo is not None and point[j] < lo) or (hi is not None and point[j] > hi):
                 raise ArithmeticError("primal point violates bounds on column %d" % j)
 
     def _check_optimal(self, point, value, y, cost):
         self._check_primal(point)
-        total = sum(y[i] * self.p.eq_rhs[i] for i in range(self.m))
+        total = sum(y[i] * self.rhs[i] for i in range(self.m))
         for j in range(self.n):
             dj = cost[j] - self._column_dot(y, j)
             st = self.status[j]
@@ -354,14 +358,14 @@ class _Simplex:
         if total != value:
             raise ArithmeticError("duality gap in verified optimum")
 
-    def _check_farkas(self, y: Sequence[Rat]):
+    def _check_farkas(self, y: Sequence[Fraction]):
         """sup over the bound box of y.Ax must fall strictly below y.b."""
         cap = Fraction(0)
         for j in range(self.n):
             g = self._column_dot(y, j)
             if g == 0:
                 continue
-            lo, hi = self.p.var_bounds[j]
+            lo, hi = self.bounds[j]
             if g > 0:
                 if hi is None:
                     raise ArithmeticError("Farkas vector unbounded above")
@@ -370,20 +374,18 @@ class _Simplex:
                 if lo is None:
                     raise ArithmeticError("Farkas vector unbounded below")
                 cap += g * lo
-        rhs = sum(y[i] * self.p.eq_rhs[i] for i in range(self.m))
+        rhs = sum(y[i] * self.rhs[i] for i in range(self.m))
         if not cap < rhs:
             raise ArithmeticError("Farkas certificate failed verification")
 
-    def _check_ray(self, ray: Sequence[Rat], objective: Sequence[Rat]):
-        p = self.p
+    def _check_ray(self, ray: Sequence[Fraction], objective: Sequence):
         for i in range(self.m):
-            if sum(p.eq_lhs[i][j] * ray[j] for j in range(self.n)) != 0:
+            if sum(a * r for a, r in zip(self.rows[i], ray)) != 0:
                 raise ArithmeticError("unbounded ray leaves the equality space")
         gain = sum(c * r for c, r in zip(objective, ray))
         if not gain > 0:
             raise ArithmeticError("unbounded ray does not improve the objective")
-        for j in range(self.n):
-            lo, hi = p.var_bounds[j]
+        for j, (lo, hi) in enumerate(self.bounds):
             if (ray[j] > 0 and hi is not None) or (ray[j] < 0 and lo is not None):
                 raise ArithmeticError("unbounded ray escapes a finite bound")
 
@@ -407,20 +409,16 @@ def lp_solve(p: LpProblem, sense: str = "max") -> LpResult:
     """
     if sense not in ("max", "min"):
         raise DomainError("sense must be 'max' or 'min'")
-    if sense == "min":
-        neg = LpProblem(
-            tuple(-c for c in p.objective), p.eq_lhs, p.eq_rhs, p.var_bounds
+    obj = p.objective if sense == "max" else tuple(-c for c in p.objective)
+    res = _Simplex(p.eq_lhs, p.eq_rhs, p.var_bounds).solve_max(obj)
+    if sense == "min" and res.status == "optimal":
+        return LpResult(
+            status="optimal",
+            value=-res.value,
+            point=res.point,
+            dual=tuple(-y for y in res.dual),
         )
-        res = lp_solve(neg, "max")
-        if res.status == "optimal":
-            return LpResult(
-                status="optimal",
-                value=-res.value,
-                point=res.point,
-                dual=tuple(-y for y in res.dual),
-            )
-        return res
-    return _Simplex(p).solve_max()
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -453,43 +451,35 @@ class BnbResult:
     mu: Optional[Tuple[int, ...]] = None
 
 
-def _system_bounds(sys: EqualitySystem) -> List[Tuple[Bound, Bound]]:
-    """Bounds for the x block; absent bounds default to the nonnegative
-    orthant, the native domain of every problem treated here."""
-    n = sys.n
-    lower = sys.var_lower if sys.var_lower is not None else (0,) * n
-    upper = sys.var_upper if sys.var_upper is not None else (None,) * n
-    out = []
-    for lo, hi in zip(lower, upper):
-        out.append((_opt_rat(lo), _opt_rat(hi)))
-    return out
-
-
 class _BnbSpace:
-    """Column layout, base bounds and integer re-verification for one run."""
+    """Column layout, base bounds and integer re-verification for one run.
+
+    The LP data stay the integers they arrive as: rows and rhs are A and b,
+    or [P | -T] and P x0, and every bound is an int or None.  Absent x
+    bounds default to the nonnegative orthant, the native domain of every
+    problem treated here; the mu columns are free.
+    """
 
     def __init__(self, sys: EqualitySystem, ef: Optional[ExtendedFormulation]):
         self.sys = sys
         self.ef = ef
-        xnames = ["x%d" % j for j in range(sys.n)]
+        n = sys.n
+        lower = sys.var_lower if sys.var_lower is not None else (0,) * n
+        upper = sys.var_upper if sys.var_upper is not None else (None,) * n
+        self.xbounds = list(zip(lower, upper))
+        xnames = ["x%d" % j for j in range(n)]
         if ef is None:
             self.names = xnames
-            self.rows = tuple(
-                tuple(Fraction(v) for v in row) for row in sys.a.data
-            )
-            self.rhs = tuple(Fraction(v) for v in sys.b)
-            self.base = _system_bounds(sys)
+            self.rows = sys.a.data
+            self.rhs = sys.b
+            self.base = self.xbounds
         else:
-            munames = ["mu%d" % j for j in range(ef.s)]
-            self.names = xnames + munames
-            rows = []
-            for i in range(ef.p.rows):
-                row = [Fraction(v) for v in ef.p.row(i)]
-                row += [Fraction(-ef.t.data[i][k]) for k in range(ef.s)]
-                rows.append(tuple(row))
-            self.rows = tuple(rows)
-            self.rhs = tuple(Fraction(v) for v in ef.px0)
-            self.base = _system_bounds(sys) + [(None, None)] * ef.s
+            self.names = xnames + ["mu%d" % j for j in range(ef.s)]
+            self.rows = tuple(
+                ef.p.row(i) + tuple(-v for v in ef.t.row(i)) for i in range(ef.p.rows)
+            )
+            self.rhs = ef.px0
+            self.base = self.xbounds + [(None, None)] * ef.s
         self.index = {name: j for j, name in enumerate(self.names)}
 
     def default_priority(self) -> Tuple[str, ...]:
@@ -499,16 +489,7 @@ class _BnbSpace:
         xs = ["x%d" % j for j in range(self.sys.n)]
         return tuple(mus + xs)
 
-    def problem(self, over: Dict[int, Tuple[Bound, Bound]], obj_col: Optional[int]):
-        bounds = list(self.base)
-        for j, bb in over.items():
-            bounds[j] = bb
-        obj = [Fraction(0)] * len(self.names)
-        if obj_col is not None:
-            obj[obj_col] = Fraction(1)
-        return LpProblem(tuple(obj), self.rows, self.rhs, tuple(bounds))
-
-    def verify_integral(self, point: Sequence[Rat]) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
+    def verify_integral(self, point: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
         ints = []
         for v in point:
             if v.denominator != 1:
@@ -517,7 +498,7 @@ class _BnbSpace:
         x = tuple(ints[: self.sys.n])
         if mat_vec(self.sys.a, x) != tuple(self.sys.b):
             raise ArithmeticError("integer certificate violates A x = b")
-        for xi, (lo, hi) in zip(x, _system_bounds(self.sys)):
+        for xi, (lo, hi) in zip(x, self.xbounds):
             if (lo is not None and xi < lo) or (hi is not None and xi > hi):
                 raise ArithmeticError("integer certificate violates bounds")
         if self.ef is None:
@@ -533,28 +514,17 @@ class _BnbSpace:
         return x, mu
 
 
-def _floor(v: Rat) -> int:
-    return v.numerator // v.denominator
+IntBounds = Tuple[Optional[int], Optional[int]]
 
 
-def _ceil(v: Rat) -> int:
-    return -((-v.numerator) // v.denominator)
-
-
-def _max_bound(a: Bound, b: Bound) -> Bound:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _min_bound(a: Bound, b: Bound) -> Bound:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _meet(a: IntBounds, b: IntBounds) -> Optional[IntBounds]:
+    """Intersection of two integer intervals, None standing for an open
+    end; None when the intersection is empty."""
+    lo = max((v for v in (a[0], b[0]) if v is not None), default=None)
+    hi = min((v for v in (a[1], b[1]) if v is not None), default=None)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 def bnb_feasibility(
@@ -564,12 +534,13 @@ def bnb_feasibility(
 ) -> BnbResult:
     """Depth-first feasibility search; every variable is integer-constrained.
 
-    Each node solves one feasibility LP.  If the LP point is fractional on
-    some priority variable, that variable's exact integer range inside the
-    node is probed with two more LPs (charged to the same node); an empty
-    range prunes immediately, which is what lets width-0 instances die at
-    the root.  Children fix v <= floor and v >= ceil of the LP value, floor
-    side explored first.
+    The LP rows are built once per run; a node differs from the root only in
+    its integer bounds.  Each node solves one feasibility LP.  If the LP
+    point is fractional on some priority variable, that variable's exact
+    integer range inside the node is probed with two more LPs (charged to
+    the same node); an empty range prunes immediately, which is what lets
+    width-0 instances die at the root.  Children fix v <= floor and
+    v >= ceil of the LP value within that range, floor side explored first.
     """
     cfg = cfg or BnbConfig()
     space = _BnbSpace(sys, ef)
@@ -580,8 +551,9 @@ def bnb_feasibility(
     prio_cols = [space.index[name] for name in priority]
     # names never listed still need integrality; scan them after the list
     trailing = [j for j in range(len(space.names)) if j not in set(prio_cols)]
+    zero = (0,) * len(space.names)
 
-    stack: List[Tuple[int, Dict[int, Tuple[Bound, Bound]]]] = [(0, {})]
+    stack: List[Tuple[int, Dict[int, IntBounds]]] = [(0, {})]
     nodes = 0
     max_depth = 0
     while stack:
@@ -590,8 +562,11 @@ def bnb_feasibility(
         depth, over = stack.pop()
         nodes += 1
         max_depth = max(max_depth, depth)
-        sx = _Simplex(space.problem(over, None))
-        res = sx.solve_max()
+        bounds = list(space.base)
+        for j, bb in over.items():
+            bounds[j] = bb
+        sx = _Simplex(space.rows, space.rhs, bounds)
+        res = sx.solve_max(zero)
         if res.status == "infeasible":
             continue
         if res.status != "optimal":
@@ -610,37 +585,25 @@ def bnb_feasibility(
 
         # probe the exact LP range of the branch variable, reusing the
         # node's feasible basis for both directions
-        ej = [Fraction(0)] * len(space.names)
-        ej[branch] = Fraction(1)
-        hi_lp = sx.reoptimize(tuple(ej))
-        ej[branch] = Fraction(-1)
-        lo_lp = sx.reoptimize(tuple(ej))
-        hi_int = _floor(hi_lp.value) if hi_lp.status == "optimal" else None
-        lo_int = _ceil(-lo_lp.value) if lo_lp.status == "optimal" else None
-        if hi_int is not None and lo_int is not None and hi_int < lo_int:
+        ej = [0] * len(space.names)
+        ej[branch] = 1
+        hi_lp = sx.reoptimize(ej)
+        ej[branch] = -1
+        lo_lp = sx.reoptimize(ej)
+        probe = (
+            ceil(-lo_lp.value) if lo_lp.status == "optimal" else None,
+            floor(hi_lp.value) if hi_lp.status == "optimal" else None,
+        )
+        rng = _meet(bounds[branch], probe)
+        if rng is None:
             continue  # no integer value available for this variable
-
-        cur_lo, cur_hi = over.get(branch, space.base[branch])
         v = point[branch]
-        fl, ce = _floor(v), _ceil(v)
-
-        def tighter(lo: Bound, hi: Bound) -> Tuple[Bound, Bound]:
-            if lo_int is not None:
-                lo = Fraction(lo_int) if lo is None else max(lo, Fraction(lo_int))
-            if hi_int is not None:
-                hi = Fraction(hi_int) if hi is None else min(hi, Fraction(hi_int))
-            return lo, hi
-
-        up_lo, up_hi = tighter(_max_bound(cur_lo, Fraction(ce)), cur_hi)
-        dn_lo, dn_hi = tighter(cur_lo, _min_bound(cur_hi, Fraction(fl)))
-        if up_lo is None or up_hi is None or up_lo <= up_hi:
-            child = dict(over)
-            child[branch] = (up_lo, up_hi)
-            stack.append((depth + 1, child))
-        if dn_lo is None or dn_hi is None or dn_lo <= dn_hi:
-            child = dict(over)
-            child[branch] = (dn_lo, dn_hi)
-            stack.append((depth + 1, child))  # floor child on top: popped first
+        # floor child pushed last: popped first
+        for child_bounds in (_meet(rng, (ceil(v), None)), _meet(rng, (None, floor(v)))):
+            if child_bounds is not None:
+                child = dict(over)
+                child[branch] = child_bounds
+                stack.append((depth + 1, child))
     return BnbResult(status="infeasible", nodes=nodes, proof_depth=max_depth)
 
 

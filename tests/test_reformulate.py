@@ -275,3 +275,13 @@ def test_equivalence_random_sweep():
         hi = tuple(v + radius for v in ef.x0)
         rep = verify_formulation_equivalence(sys_, ef, lo, hi)
         assert rep.missing == () and rep.extra == ()
+
+
+@pytest.mark.parametrize("bad", [0.5, True, Fraction(1)])
+def test_equality_system_rejects_non_int_bounds(bad):
+    a = IntMatrix.from_rows([(1, 2)])
+    with pytest.raises(TypeError):
+        EqualitySystem(a, (3,), var_lower=(0, bad))
+    with pytest.raises(TypeError):
+        EqualitySystem(a, (3,), var_upper=(bad, None))
+    EqualitySystem(a, (3,), var_lower=(0, None), var_upper=(None, 4))

@@ -254,22 +254,36 @@ def test_bnb_determinism():
 
 
 # (formulation, status, nodes, proof depth) per seed of gen_market_split(2,
-# seed).  Every LP vertex depends on the whole simplex pivot sequence, so a
-# change to the tableau arithmetic that moves a pivot moves these counts.
+# seed), and the tableau pivots of the whole comparison.  Every LP vertex
+# depends on the whole simplex pivot sequence, so a change to the tableau
+# arithmetic that moves a pivot moves these counts.
 PINNED_M2 = {
-    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0)),
-    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0)),
-    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8)),
-    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0)),
-    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0)),
+    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 549),
+    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0), 428),
+    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8), 1040),
+    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 563),
+    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0), 588),
 }
 
 
+def count_pivots(monkeypatch):
+    count = [0]
+    real = solver._Simplex._pivot
+
+    def spy(self, i, j):
+        count[0] += 1
+        real(self, i, j)
+
+    monkeypatch.setattr(solver._Simplex, "_pivot", spy)
+    return count
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_M2))
-def test_bnb_pinned_node_counts_m2(seed):
+def test_bnb_pinned_node_counts_m2(seed, monkeypatch):
+    pivots = count_pivots(monkeypatch)
     tab = compare_formulations(gen_market_split(2, seed), (1, 4, 8))
     got = [(r.label, r.status, r.nodes, r.proof_depth) for r in tab.rows]
-    original, s1 = PINNED_M2[seed]
+    original, s1, npivots = PINNED_M2[seed]
     root = ("infeasible", 1, 0)
     assert got == [
         original,
@@ -278,11 +292,39 @@ def test_bnb_pinned_node_counts_m2(seed):
         ("ext s=4",) + root,
         ("ext s=8",) + root,
     ]
+    assert pivots[0] == npivots
 
 
-def test_bnb_pinned_node_limit_m3():
+def test_bnb_pinned_node_limit_m3(monkeypatch):
+    pivots = count_pivots(monkeypatch)
     r = bnb_feasibility(gen_market_split(3, 1), None, BnbConfig(node_limit=100))
     assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
+    assert pivots[0] == 935
+
+
+@pytest.mark.parametrize("form", ["original", "extended"])
+def test_bnb_lp_values_stay_exact(form, monkeypatch):
+    """Integer rows and bounds go into the simplex as ints; every LP value
+    and point entry it returns must still be a Fraction, never a float."""
+    results = []
+    real = solver._Simplex.reoptimize
+
+    def spy(self, objective):
+        r = real(self, objective)
+        results.append(r)
+        return r
+
+    monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
+    if form == "original":
+        bnb_feasibility(gen_market_split(2, 1))
+    else:
+        sys_ = knapsack_system(CUWW1, CUWW1_F + 1)
+        bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+    optimal = [r for r in results if r.status == "optimal"]
+    assert optimal
+    for r in optimal:
+        assert type(r.value) is F
+        assert all(type(v) is F for v in r.point)
 
 
 def test_gen_market_split_shape():
