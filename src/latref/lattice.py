@@ -106,42 +106,33 @@ def _column_echelon(a: IntMatrix):
 
     Returns (h, u, pivots) as nested lists / list: h = a @ u, pivots[t] is the
     row of the pivot in column t.  Works for any shape and rank; columns past
-    the rank come out zero.
+    the rank come out zero.  The column operations act on the stacked rows
+    of [a; I], whose first m rows become h and the rest u.
     """
     m, n = a.rows, a.cols
-    h = [list(r) for r in a.data]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [list(r) for r in a.data] + [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def colop_swap(j0, j1):
-        for row in h:
-            row[j0], row[j1] = row[j1], row[j0]
-        for row in u:
+        for row in w:
             row[j0], row[j1] = row[j1], row[j0]
 
     def colop_neg(j):
-        for row in h:
-            row[j] = -row[j]
-        for row in u:
+        for row in w:
             row[j] = -row[j]
 
     def colop_axpy(dst, src, q):
         # column dst -= q * column src
         if q == 0:
             return
-        for row in h:
-            row[dst] -= q * row[src]
-        for row in u:
+        for row in w:
             row[dst] -= q * row[src]
 
     def colop_combine(i, jt, jo):
-        # unimodular 2x2 mix so that column jt picks up gcd(h[i][jt], h[i][jo])
+        # unimodular 2x2 mix so that column jt picks up gcd(w[i][jt], w[i][jo])
         # at row i and column jo becomes zero there
-        g, p, q = _bezout(h[i][jt], h[i][jo])
-        aa, bb = h[i][jt] // g, h[i][jo] // g
-        for row in h:
-            x, y = row[jt], row[jo]
-            row[jt], row[jo] = p * x + q * y, aa * y - bb * x
-        for row in u:
+        g, p, q = _bezout(w[i][jt], w[i][jo])
+        aa, bb = w[i][jt] // g, w[i][jo] // g
+        for row in w:
             x, y = row[jt], row[jo]
             row[jt], row[jo] = p * x + q * y, aa * y - bb * x
 
@@ -150,21 +141,21 @@ def _column_echelon(a: IntMatrix):
     for i in range(m):
         if t == n:
             break
-        j0 = next((j for j in range(t, n) if h[i][j] != 0), None)
+        j0 = next((j for j in range(t, n) if w[i][j] != 0), None)
         if j0 is None:
             continue
         if j0 != t:
             colop_swap(j0, t)
         for j in range(t + 1, n):
-            if h[i][j] != 0:
+            if w[i][j] != 0:
                 colop_combine(i, t, j)
-        if h[i][t] < 0:
+        if w[i][t] < 0:
             colop_neg(t)
         for j in range(t):
-            colop_axpy(j, t, h[i][j] // h[i][t])
+            colop_axpy(j, t, w[i][j] // w[i][t])
         pivots.append(i)
         t += 1
-    return h, u, pivots
+    return w[:m], w[m:], pivots
 
 
 def hnf(a: IntMatrix) -> HnfResult:

@@ -209,19 +209,22 @@ def dual_kernel(r: IntMatrix, params: LLLParams = None) -> IntMatrix:
 
 
 def solve_multipliers(p: IntMatrix, a: IntMatrix) -> IntMatrix:
-    """The unique M with M P = A, solved row-by-row over the integers.
+    """The unique M with M P = A, read off the Hermite form of P.
 
-    P must have full row rank; failure to find an integer solution means
-    the inputs were not produced by the reformulation pipeline.
+    The rows of P must generate all of Z^k, as every P built on a kernel
+    lattice does (kernel lattices are primitive).  Then P U = (I | 0), so
+    A = M P exactly when A U = (M | 0); IntegralityError is raised when the
+    Hermite form is not I or a row of A U is nonzero past column k.
     """
-    solver = IntegerSolver(transpose(p))
-    rows = []
-    for i in range(a.rows):
-        y = solver.solve(a.row(i))
-        if y is None:
+    k = p.rows
+    res = hnf(p)
+    if res.d.data != identity(k).data:
+        raise IntegralityError("rows of P do not generate Z^%d (Hermite form is not I)" % k)
+    au = mat_mul(a, res.u)
+    for i, row in enumerate(au.data):
+        if any(row[k:]):
             raise IntegralityError("row %d of A is not an integer combination of P's rows" % i)
-        rows.append(y)
-    return IntMatrix.from_rows(rows, cols=p.rows)
+    return IntMatrix.from_rows([row[:k] for row in au.data], cols=k)
 
 
 def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
@@ -229,11 +232,9 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
     """Assemble the extended formulation for a chosen kernel split.
 
     P spans the dual of the short block, M recombines A = M P, T = P S.
-    The rows of P generate all of Z^{m+s} (the integer-equivalence
-    statements downstream rely on it): P is a basis of a kernel lattice,
-    and kernel lattices are primitive, so the Hermite form of P is
-    (I | 0).  That invariant is checked, and IntegralityError raised when
-    it fails.
+    The rows of P generate all of Z^{m+s}, which the integer-equivalence
+    statements downstream rely on; solve_multipliers checks that on the one
+    Hermite form of P it takes and raises IntegralityError when it fails.
     """
     x0 = vec(x0)
     if mat_vec(sys.a, x0) != sys.b:
@@ -247,8 +248,6 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
         raise ValidationError("split columns do not match the kernel basis")
 
     p = transpose(dual_kernel(split.short, params))
-    if hnf(p).d.data != identity(p.rows).data:
-        raise IntegralityError("rows of P do not generate Z^%d (Hermite form is not I)" % p.rows)
     m_mat = solve_multipliers(p, sys.a)
     t = mat_mul(p, split.long)
     return ExtendedFormulation(p, m_mat, t, x0, split.s, mat_vec(p, x0))

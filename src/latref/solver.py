@@ -4,8 +4,9 @@ Everything here runs in exact arithmetic: the simplex solver keeps a dense
 fraction-free integer tableau over one common denominator (Bareiss pivoting)
 and uses Bland's rule, so it terminates without tolerances, and every answer
 carries a rational certificate that is re-verified before it is returned.
-Branch and bound sits on top of that, solving one feasibility LP per node
-plus two bound probes for the chosen branching variable.
+Branch and bound sits on top of that: phase 1 of the simplex is each
+node's feasibility LP, and two bound probes for the chosen branching
+variable reoptimize from its feasible basis.
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
@@ -35,7 +36,7 @@ _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise DomainError("expected an exact rational, got %r" % (x,))
 
@@ -82,7 +83,7 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded"; "feasible" after phase 1
     value: Optional[Fraction] = None
     point: Optional[Tuple[Fraction, ...]] = None
     dual: Optional[Tuple[Fraction, ...]] = None
@@ -113,9 +114,11 @@ class _Simplex:
     lcm of its denominators.  Neither scaling changes the sign of any reduced
     cost or ratio, so every pivot is the one the rational tableau would make.
 
-    The artificial columns are kept for the whole solve; after phase 1 they
-    are fixed to zero, which both blocks re-entry and keeps B^-1 readable
-    off the tableau for the dual and Farkas certificates.
+    phase1 finds a feasible basis or a Farkas certificate; reoptimize then
+    maximizes any number of objectives in turn from the current basis.  The
+    artificial columns are kept for the whole solve; after phase 1 they are
+    fixed to zero, which both blocks re-entry and keeps B^-1 readable off
+    the tableau for the dual and Farkas certificates.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence, bounds: Sequence[Tuple]):
@@ -283,13 +286,10 @@ class _Simplex:
 
     # -- public driver -----------------------------------------------------
 
-    def solve_max(self, objective: Sequence) -> LpResult:
-        bad = self._phase1()
-        if bad is not None:
-            return bad
-        return self.reoptimize(objective)
-
-    def _phase1(self) -> Optional[LpResult]:
+    def phase1(self) -> LpResult:
+        """Drive the artificial columns to zero: an "infeasible" result with
+        a checked Farkas vector, or a "feasible" one with a primal-checked
+        point, after which reoptimize may run."""
         phase1 = [0] * self.n + [-1] * self.m
         out = self._optimize(phase1)
         if out[0] != "optimal":
@@ -302,12 +302,13 @@ class _Simplex:
             return LpResult(status="infeasible", farkas=farkas)
         for i in range(self.m):
             self.hi[self.n + i] = 0
-        return None
+        point = tuple(self.val[: self.n])
+        self._check_primal(point)
+        return LpResult(status="feasible", point=point)
 
     def reoptimize(self, objective: Sequence) -> LpResult:
-        """Maximize another objective, ints or Fractions, from the current
-        feasible basis.  Only valid after a solve that did not report
-        infeasible."""
+        """Maximize an objective, ints or Fractions, from the current
+        feasible basis.  Only valid after phase1 reported feasible."""
         cost = list(objective) + [0] * self.m
         scale = lcm(*(c.denominator for c in objective))
         icost = [c.numerator * (scale // c.denominator) for c in cost]
@@ -410,7 +411,10 @@ def lp_solve(p: LpProblem, sense: str = "max") -> LpResult:
     if sense not in ("max", "min"):
         raise DomainError("sense must be 'max' or 'min'")
     obj = p.objective if sense == "max" else tuple(-c for c in p.objective)
-    res = _Simplex(p.eq_lhs, p.eq_rhs, p.var_bounds).solve_max(obj)
+    sx = _Simplex(p.eq_lhs, p.eq_rhs, p.var_bounds)
+    res = sx.phase1()
+    if res.status == "feasible":
+        res = sx.reoptimize(obj)
     if sense == "min" and res.status == "optimal":
         return LpResult(
             status="optimal",
@@ -535,12 +539,13 @@ def bnb_feasibility(
     """Depth-first feasibility search; every variable is integer-constrained.
 
     The LP rows are built once per run; a node differs from the root only in
-    its integer bounds.  Each node solves one feasibility LP.  If the LP
-    point is fractional on some priority variable, that variable's exact
-    integer range inside the node is probed with two more LPs (charged to
-    the same node); an empty range prunes immediately, which is what lets
-    width-0 instances die at the root.  Children fix v <= floor and
-    v >= ceil of the LP value within that range, floor side explored first.
+    its integer bounds.  Each node's feasibility LP is simplex phase 1.  If
+    its point is fractional on some priority variable, that variable's
+    exact integer range inside the node is probed by maximizing and
+    minimizing it from the same basis (charged to the same node); an empty
+    range prunes immediately, which is what lets width-0 instances die at
+    the root.  Children fix v <= floor and v >= ceil of the LP value within
+    that range, floor side explored first.
     """
     cfg = cfg or BnbConfig()
     space = _BnbSpace(sys, ef)
@@ -550,8 +555,8 @@ def bnb_feasibility(
             raise DomainError("unknown variable %r in branch_priority" % name)
     prio_cols = [space.index[name] for name in priority]
     # names never listed still need integrality; scan them after the list
-    trailing = [j for j in range(len(space.names)) if j not in set(prio_cols)]
-    zero = (0,) * len(space.names)
+    listed = set(prio_cols)
+    trailing = [j for j in range(len(space.names)) if j not in listed]
 
     stack: List[Tuple[int, Dict[int, IntBounds]]] = [(0, {})]
     nodes = 0
@@ -566,11 +571,9 @@ def bnb_feasibility(
         for j, bb in over.items():
             bounds[j] = bb
         sx = _Simplex(space.rows, space.rhs, bounds)
-        res = sx.solve_max(zero)
+        res = sx.phase1()
         if res.status == "infeasible":
             continue
-        if res.status != "optimal":
-            raise ArithmeticError("feasibility LP with zero objective cannot be unbounded")
         point = res.point
         branch = None
         for j in prio_cols + trailing:

@@ -16,6 +16,7 @@ from latref.cli import (
     main,
     parse_instance,
 )
+from latref import lattice
 from latref.exact import DomainError, IntMatrix
 from latref.lattice import lattice_hnf
 from latref.reformulate import EqualitySystem, IntegralityError
@@ -306,6 +307,27 @@ def test_internal_consistency_failure_exits_4(
     assert captured.err.count("\n") == 1
     assert str(exc) in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args,echelons",
+    [(["reformulate", "--s", "1"], 5), (["solve", "--formulation", "ext"], 4)],
+)
+def test_cli_echelon_count(tmp_path, capsys, monkeypatch, args, echelons):
+    """A, R^T, P and (for reformulate) (p1; p2) are each echelonned once,
+    apart from A's rank check in EqualitySystem."""
+    calls = [0]
+    real = lattice._column_echelon
+
+    def spy(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(lattice, "_column_echelon", spy)
+    rc = main([args[0], write(tmp_path, CUWW1_TEXT)] + args[1:])
+    capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_INFEASIBLE)
+    assert calls[0] == echelons
 
 
 def test_gen_market_split_deterministic(tmp_path, capsys):

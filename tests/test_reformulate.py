@@ -132,6 +132,16 @@ def test_solve_multipliers_fixtures():
     assert solve_multipliers(identity(3), a).data == a.data
 
 
+def test_solve_multipliers_needs_primitive_p():
+    """M is read off the Hermite form of P, so P must generate Z^k."""
+    with pytest.raises(IntegralityError, match="Hermite form is not I"):
+        solve_multipliers(IntMatrix.from_rows([(2, 0), (0, 2)]), IntMatrix.from_rows([(2, 4)]))
+    e12 = IntMatrix.from_rows([(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(IntegralityError, match="row 0 of A is not an integer combination"):
+        solve_multipliers(e12, IntMatrix.from_rows([(0, 0, 1)]))
+    assert solve_multipliers(e12, IntMatrix.from_rows([(4, -7, 0)])).data == ((4, -7),)
+
+
 def test_build_extended_two_row():
     sys_ = EqualitySystem(TWOROW_A, TWOROW_B)
     det = detect_decomposition(sys_, FixedSplit(1))

@@ -307,14 +307,22 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
     """Integer rows and bounds go into the simplex as ints; every LP value
     and point entry it returns must still be a Fraction, never a float."""
     results = []
+    points = []
     real = solver._Simplex.reoptimize
+    real_primal = solver._Simplex._check_primal
 
     def spy(self, objective):
         r = real(self, objective)
         results.append(r)
         return r
 
+    def primal_spy(self, point):
+        points.append(point)
+        real_primal(self, point)
+
     monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
+    # node points come straight from phase 1 and pass only the primal check
+    monkeypatch.setattr(solver._Simplex, "_check_primal", primal_spy)
     if form == "original":
         bnb_feasibility(gen_market_split(2, 1))
     else:
@@ -325,6 +333,53 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
     for r in optimal:
         assert type(r.value) is F
         assert all(type(v) is F for v in r.point)
+    assert len(points) > len(optimal)
+    for point in points:
+        assert all(type(v) is F for v in point)
+
+
+def test_bnb_node_lp_is_phase1(monkeypatch):
+    """A node's feasibility LP is phase 1 alone: reoptimize runs only for
+    the two range probes of a branching node, never with a zero objective."""
+    calls = []
+    feasible = []
+    real = solver._Simplex.reoptimize
+    real_phase1 = solver._Simplex.phase1
+
+    def spy(self, objective):
+        calls.append((self, tuple(objective)))
+        return real(self, objective)
+
+    def phase1_spy(self):
+        r = real_phase1(self)
+        if r.status == "feasible":
+            feasible.append(self)
+        return r
+
+    monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
+    monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
+    r = bnb_feasibility(gen_market_split(2, 1))
+    assert r.status == "infeasible"
+    assert not any(all(c == 0 for c in obj) for _, obj in calls)
+    # the search found no integer point, so every feasible node point was
+    # fractional and its node branched
+    assert 0 < len(feasible) <= r.nodes
+    assert len(calls) == 2 * len(feasible)
+    # the spies keep every tableau alive, so ids are distinct per node
+    assert {id(sx) for sx, _ in calls} == {id(sx) for sx in feasible}
+
+
+@pytest.mark.parametrize("where", ["objective", "row", "rhs", "bound"])
+def test_lp_problem_rejects_bools(where):
+    parts = {"objective": (1,), "row": ((1,),), "rhs": (1,), "bound": ((0, 1),)}
+    parts[where] = {
+        "objective": (True,),
+        "row": ((True,),),
+        "rhs": (True,),
+        "bound": ((False, 1),),
+    }[where]
+    with pytest.raises(DomainError):
+        LpProblem(parts["objective"], parts["row"], parts["rhs"], parts["bound"])
 
 
 def test_gen_market_split_shape():
