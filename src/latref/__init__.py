@@ -10,11 +10,9 @@ solver module measures the effect on branch-and-bound feasibility proofs.
 from .exact import (
     DimensionError,
     DomainError,
-    GramSchmidtData,
     IntMatrix,
     RankError,
     extended_gcd,
-    gram_schmidt,
     identity,
     mat_mul,
     mat_vec,

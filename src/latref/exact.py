@@ -1,15 +1,13 @@
-"""Exact integer and rational linear algebra primitives.
+"""Exact integer linear algebra primitives.
 
-Everything here is exact: integers are Python ints, rationals are
-``fractions.Fraction``.  No floating point is used anywhere.
+Everything here is exact: integers are Python ints.  No floating point is
+used anywhere.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
-RatVector = Tuple[Fraction, ...]
 
 
 class DimensionError(ValueError):
@@ -161,48 +159,3 @@ def mat_vec(a: IntMatrix, x: Sequence[int]) -> IntVector:
     if a.cols != len(x):
         raise DimensionError("matrix is %dx%d, vector has length %d" % (a.rows, a.cols, len(x)))
     return tuple(dot(r, x) for r in a.data)
-
-
-@dataclass(frozen=True)
-class GramSchmidtData:
-    """Exact Gram-Schmidt data for an ordered list of basis columns.
-
-    bstar[j] is the j-th orthogonalized vector, mu[j][k] (k < j) the
-    projection coefficient of column j onto bstar[k], norms_sq[j] the
-    squared euclidean norm of bstar[j].  mu is stored square with ones on
-    the diagonal and zeros above it.
-    """
-
-    bstar: Tuple[RatVector, ...]
-    mu: Tuple[RatVector, ...]
-    norms_sq: Tuple[Fraction, ...]
-
-
-def gram_schmidt(basis: IntMatrix) -> GramSchmidtData:
-    """Orthogonalize the columns of ``basis`` exactly.
-
-    Raises RankError naming the first column that is linearly dependent on
-    its predecessors (its orthogonalized residual is zero).
-    """
-    n = basis.cols
-    cols = [tuple(Fraction(e) for e in basis.col(j)) for j in range(n)]
-    bstar: List[RatVector] = []
-    norms: List[Fraction] = []
-    mu: List[List[Fraction]] = []
-    for j in range(n):
-        murow = [Fraction(0)] * n
-        murow[j] = Fraction(1)
-        v = list(cols[j])
-        for k in range(j):
-            c = dot(cols[j], bstar[k]) / norms[k]
-            murow[k] = c
-            for i in range(len(v)):
-                v[i] -= c * bstar[k][i]
-        w = tuple(v)
-        ns = norm_sq(w)
-        if ns == 0:
-            raise RankError("column %d is linearly dependent on earlier columns" % j, index=j)
-        bstar.append(w)
-        norms.append(ns)
-        mu.append(murow)
-    return GramSchmidtData(tuple(bstar), tuple(tuple(r) for r in mu), tuple(norms))

@@ -1,8 +1,10 @@
 """Lattice algorithms over the integers.
 
-LLL reduction in exact rational arithmetic, column-style Hermite normal
-form with transformation matrix, integer kernel bases, and the combined
-kernel-plus-particular-solution computation for A x = b.
+Integral LLL reduction (integer Gram-Schmidt data, its rows built lazily
+because input bases can have huge entries while reduced ones are small),
+column-style Hermite normal form with transformation matrix, integer
+kernel bases, and the combined kernel-plus-particular-solution
+computation for A x = b.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,6 @@ from .exact import (
     IntVector,
     RankError,
     _bezout,
-    gram_schmidt,
     mat_vec,
     vec,
 )
@@ -27,63 +28,99 @@ from .exact import (
 class LLLParams:
     """Reduction quality parameter.
 
-    delta = 1 (strongest reduction) still terminates on integer input; the
-    polynomial bound only holds below 1.
+    delta is an int or a ``Fraction`` (floats are refused: they are not
+    exact).  delta = 1 (strongest reduction) still terminates on integer
+    input; the polynomial bound only holds below 1.
     """
 
     delta: Fraction = Fraction(3, 4)
 
     def __post_init__(self):
-        d = Fraction(self.delta)
+        d = self.delta
+        if not isinstance(d, (int, Fraction)) or isinstance(d, bool):
+            raise TypeError("delta must be an int or a Fraction, got %r" % (d,))
         if not Fraction(1, 4) < d <= 1:
             raise ValueError("delta must lie in (1/4, 1], got %s" % d)
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", Fraction(d))
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) with ties to even, for den > 0, without a Fraction."""
+    q, r = divmod(2 * num + den, 2 * den)
+    if r == 0 and q & 1:
+        q -= 1
+    return q
 
 
 def lll_reduce(basis: IntMatrix, params: LLLParams = None) -> IntMatrix:
     """LLL-reduce the columns of ``basis`` (they must be linearly independent).
 
-    Exact rational arithmetic throughout; the Gram-Schmidt coefficients are
-    carried along incrementally and updated in place on size reductions and
-    swaps, so no orthogonalization is recomputed from scratch.  Deterministic:
-    column k is size-reduced against k-1..0, then the exchange condition
-    ||b*_k||^2 >= (delta - mu_{k,k-1}^2) ||b*_{k-1}||^2 is tested.
+    Integral LLL (de Weger 1987; Cohen 1993, Alg. 2.6.7): with b*_j the
+    Gram-Schmidt vectors, it keeps only the integers d_0 = 1,
+    d_{j+1} = d_j ||b*_j||^2 and lambda_kj = d_{j+1} mu_kj, and updates
+    them in place on size reductions and swaps.  Row k of lambda is built
+    the first time k is reached, from the dot products of the untouched
+    column b_k with the already-reduced b_0..b_{k-1}, and d_{k+1} after b_k
+    has been size-reduced.  An input basis can have entries of hundreds of
+    thousands of bits while the reduced columns are small, so the up-front
+    Gram matrix of the input would cost more than the reduction itself.
+
+    Deterministic: column k is size-reduced against k-1..0 (quotients round
+    half to even), then the exchange condition
+    ||b*_k||^2 >= (delta - mu_{k,k-1}^2) ||b*_{k-1}||^2 is tested, as
+    q (d_{k+1} d_{k-1} + lambda_{k,k-1}^2) >= p d_k^2 for delta = p/q.
+    Raises RankError naming the first column that is linearly dependent on
+    its predecessors.
     """
     if params is None:
         params = LLLParams()
-    delta = params.delta
+    p, q = params.delta.numerator, params.delta.denominator
     n = basis.cols
-    gs = gram_schmidt(basis)  # validates independence (RankError otherwise)
-    if n <= 1:
-        return basis
     b = [list(basis.col(j)) for j in range(n)]
-    mu = [list(r) for r in gs.mu]
-    bn = list(gs.norms_sq)
-
-    k = 1
+    d = [1] * (n + 1)
+    lam: List[List[int]] = [[] for _ in range(n)]  # lam[k][j] for j < k
+    k, kmax = 0, -1
     while k < n:
+        bk, row = b[k], lam[k]
+        fresh = k > kmax
+        if fresh:
+            kmax = k
+            for j in range(k):
+                u = sum(map(mul, bk, b[j]))
+                lj = lam[j]
+                for i in range(j):
+                    u = (d[i + 1] * u - row[i] * lj[i]) // d[i]
+                row.append(u)
         for j in range(k - 1, -1, -1):
-            if 2 * abs(mu[k][j]) > 1:
-                q = round(mu[k][j])
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            if 2 * abs(row[j]) > d[j + 1]:
+                r = _round_half_even(row[j], d[j + 1])
+                b[k] = bk = [x - r * y for x, y in zip(bk, b[j])]
+                lj = lam[j]
                 for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if bn[k] >= (delta - mu[k][k - 1] ** 2) * bn[k - 1]:
+                    row[t] -= r * lj[t]
+                row[j] -= r * d[j + 1]
+        if fresh:
+            u = sum(map(mul, bk, bk))
+            for i in range(k):
+                u = (d[i + 1] * u - row[i] * row[i]) // d[i]
+            if u == 0:
+                # columns past kmax are still the input's, so this names the
+                # column a Gram-Schmidt pass over the input would name
+                raise RankError("column %d is linearly dependent on earlier columns" % k, index=k)
+            d[k + 1] = u
+        if k == 0 or q * (d[k + 1] * d[k - 1] + row[k - 1] ** 2) >= p * d[k] ** 2:
             k += 1
             continue
-        m = mu[k][k - 1]
-        bnew = bn[k] + m * m * bn[k - 1]
-        mu[k][k - 1] = m * bn[k - 1] / bnew
-        bn[k] = bn[k - 1] * bn[k] / bnew
-        bn[k - 1] = bnew
-        b[k - 1], b[k] = b[k], b[k - 1]
-        for j in range(k - 1):
-            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
-        for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        lk = row[k - 1]
+        nd = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        b[k - 1], b[k] = bk, b[k - 1]
+        lam[k - 1], lam[k] = row[: k - 1], lam[k - 1] + [lk]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lk * t) // d[k]
+            li[k - 1] = (nd * t + lk * li[k]) // d[k + 1]
+        d[k] = nd
         k = max(k - 1, 1)
     return IntMatrix.from_cols([tuple(c) for c in b], rows=basis.rows)
 

@@ -3,12 +3,12 @@
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from latref import make_decomposition
-from latref.exact import DimensionError, IntMatrix, IntVector, RankError, gram_schmidt
+from latref.exact import DimensionError, IntMatrix, IntVector, RankError, dot, norm_sq
 from latref.knapsack import Decomposition, ValidationError, integer_width
 from latref.lattice import IntegerSolver, LLLParams
 
@@ -188,6 +188,104 @@ def rational_solve(rows: Sequence[Sequence], rhs: Sequence):
     for i, c in enumerate(pivots):
         x[c] = b[i]
     return tuple(x)
+
+
+RatVector = Tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class GramSchmidtData:
+    """Exact Gram-Schmidt data for an ordered list of basis columns.
+
+    bstar[j] is the j-th orthogonalized vector, mu[j][k] (k < j) the
+    projection coefficient of column j onto bstar[k], norms_sq[j] the
+    squared euclidean norm of bstar[j].  mu is stored square with ones on
+    the diagonal and zeros above it.
+    """
+
+    bstar: Tuple[RatVector, ...]
+    mu: Tuple[RatVector, ...]
+    norms_sq: Tuple[Fraction, ...]
+
+
+def gram_schmidt(basis: IntMatrix) -> GramSchmidtData:
+    """Orthogonalize the columns of ``basis`` exactly.
+
+    Raises RankError naming the first column that is linearly dependent on
+    its predecessors (its orthogonalized residual is zero).
+    """
+    n = basis.cols
+    cols = [tuple(Fraction(e) for e in basis.col(j)) for j in range(n)]
+    bstar: List[RatVector] = []
+    norms: List[Fraction] = []
+    mu: List[List[Fraction]] = []
+    for j in range(n):
+        murow = [Fraction(0)] * n
+        murow[j] = Fraction(1)
+        v = list(cols[j])
+        for k in range(j):
+            c = dot(cols[j], bstar[k]) / norms[k]
+            murow[k] = c
+            for i in range(len(v)):
+                v[i] -= c * bstar[k][i]
+        w = tuple(v)
+        ns = norm_sq(w)
+        if ns == 0:
+            raise RankError("column %d is linearly dependent on earlier columns" % j, index=j)
+        bstar.append(w)
+        norms.append(ns)
+        mu.append(murow)
+    return GramSchmidtData(tuple(bstar), tuple(tuple(r) for r in mu), tuple(norms))
+
+
+def lll_reduce_reference(basis: IntMatrix, params: LLLParams = None) -> IntMatrix:
+    """LLL-reduce the columns of ``basis`` (they must be linearly independent).
+
+    The rational-arithmetic LLL that tests compare the integral
+    ``latref.lattice.lll_reduce`` against: the two must agree bit for bit.
+    Exact rational arithmetic throughout; the Gram-Schmidt coefficients are
+    carried along incrementally and updated in place on size reductions and
+    swaps, so no orthogonalization is recomputed from scratch.  Deterministic:
+    column k is size-reduced against k-1..0, then the exchange condition
+    ||b*_k||^2 >= (delta - mu_{k,k-1}^2) ||b*_{k-1}||^2 is tested.
+    """
+    if params is None:
+        params = LLLParams()
+    delta = params.delta
+    n = basis.cols
+    gs = gram_schmidt(basis)  # validates independence (RankError otherwise)
+    if n <= 1:
+        return basis
+    b = [list(basis.col(j)) for j in range(n)]
+    mu = [list(r) for r in gs.mu]
+    bn = list(gs.norms_sq)
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(mu[k][j]) > 1:
+                q = round(mu[k][j])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if bn[k] >= (delta - mu[k][k - 1] ** 2) * bn[k - 1]:
+            k += 1
+            continue
+        m = mu[k][k - 1]
+        bnew = bn[k] + m * m * bn[k - 1]
+        mu[k][k - 1] = m * bn[k - 1] / bnew
+        bn[k] = bn[k - 1] * bn[k] / bnew
+        bn[k - 1] = bnew
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return IntMatrix.from_cols([tuple(c) for c in b], rows=basis.rows)
 
 
 def is_lll_reduced(basis: IntMatrix, params: LLLParams = None) -> bool:

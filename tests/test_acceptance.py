@@ -28,7 +28,7 @@ from latref import (
     lp_solve,
     width_bounds,
 )
-from latref.exact import IntMatrix, gram_schmidt, mat_mul, mat_vec, transpose
+from latref.exact import IntMatrix, mat_mul, mat_vec, transpose
 from latref.lattice import hnf, kernel_and_solution, lattice_hnf, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
@@ -38,7 +38,7 @@ from latref.reformulate import (
     split_basis,
     verify_formulation_equivalence,
 )
-from support import det, hnf_oracle, random_decomposition, representable_sieve
+from support import det, gram_schmidt, hnf_oracle, random_decomposition, representable_sieve
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481

@@ -10,14 +10,13 @@ from latref.exact import (
     RankError,
     dot,
     extended_gcd,
-    gram_schmidt,
     identity,
     mat_mul,
     mat_vec,
     norm_sq,
     transpose,
 )
-from support import det, rational_solve
+from support import det, gram_schmidt, rational_solve
 
 
 def det_oracle(m):

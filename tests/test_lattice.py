@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latref.exact import IntMatrix, RankError, identity, mat_vec, norm_sq
+from latref.exact import IntMatrix, RankError, identity, mat_vec, norm_sq, transpose
 from latref.lattice import (
     IntegerSolver,
     LLLParams,
@@ -14,7 +16,9 @@ from latref.lattice import (
     lattice_hnf,
     lll_reduce,
 )
-from support import det, hnf_oracle, is_lll_reduced, solve_integer
+from latref.reformulate import FixedSplit, split_basis
+from latref.solver import gen_market_split
+from support import det, hnf_oracle, is_lll_reduced, lll_reduce_reference, solve_integer
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 
@@ -100,6 +104,74 @@ def test_lll_params_domain():
         LLLParams(Fraction(1, 4))
     with pytest.raises(ValueError):
         LLLParams(Fraction(5, 4))
+    assert LLLParams(1).delta == Fraction(1)
+    for inexact in (0.99, 1.0, True, "3/4"):  # the exchange test needs delta's exact p/q
+        with pytest.raises(TypeError):
+            LLLParams(inexact)
+
+
+def _outcome(reduce, basis, params):
+    try:
+        return reduce(basis, params)
+    except RankError as e:
+        return ("RankError", str(e), e.index)
+
+
+DELTAS = (Fraction(51, 100), Fraction(3, 4), Fraction(99, 100), Fraction(1))
+
+
+@st.composite
+def lll_inputs(draw):
+    """Bases of up to 8 columns with entries up to 2^200; fewer rows than
+    columns, or a column replaced by a combination of the others, makes
+    them dependent."""
+    n = draw(st.integers(0, 8))
+    rows = draw(st.integers(max(n - 1, 0), n + 3))
+    bits = draw(st.sampled_from((1, 2, 8, 64, 200)))
+    entry = st.integers(-(2**bits), 2**bits)
+    cols = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(1, n - 1))
+        coef = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        coef[j] = 0
+        cols[j] = [sum(c * col[i] for c, col in zip(coef, cols)) for i in range(rows)]
+    return IntMatrix.from_cols(cols, rows=rows), LLLParams(draw(st.sampled_from(DELTAS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lll_inputs())
+@example((IntMatrix.from_cols([(1, 1), (-1, -2)]), LLLParams()))  # mu = -3/2 rounds to -2
+def test_lll_matches_rational_reference(case):
+    basis, params = case
+    assert _outcome(lll_reduce, basis, params) == _outcome(lll_reduce_reference, basis, params)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_lll_empty_and_zero_column(rows):
+    empty = IntMatrix.from_cols([], rows=rows)
+    assert lll_reduce(empty) == lll_reduce_reference(empty) == empty
+    zero = IntMatrix.from_cols([(0,) * rows], rows=rows)
+    expected = ("RankError", "column 0 is linearly dependent on earlier columns", 0)
+    assert _outcome(lll_reduce, zero, LLLParams()) == expected
+    assert _outcome(lll_reduce_reference, zero, LLLParams()) == expected
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_lll_matches_reference_on_dual_kernel_input(m, monkeypatch):
+    """The basis dual_kernel reduces for the s=1 short block of market
+    split: 4,719-bit entries at m=4 and 146,728-bit ones at m=5.  The
+    integral LLL gets through it without building a single Fraction."""
+    sys_ = gen_market_split(m, 1)
+    short = split_basis(kernel_and_solution(sys_.a, sys_.b).q, FixedSplit(1)).short
+    kern = kernel_basis(transpose(short))
+    params = LLLParams()
+    expected = lll_reduce_reference(kern, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lll_reduce built a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert lll_reduce(kern, params) == expected
 
 
 def test_lll_random_sweep():
