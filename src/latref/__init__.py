@@ -41,7 +41,6 @@ from .lattice import (
     hnf,
     kernel_and_solution,
     kernel_basis,
-    lattice_hnf,
     lll_reduce,
 )
 from .reformulate import (

@@ -91,13 +91,8 @@ def make_decomposition(a, p1, p2, m1: int, m2: int) -> Decomposition:
         if None in cols:
             raise ValidationError("Hermite rescaling produced non-integers (broken input)")
         p1, p2 = zip(*cols)
+        # m1, m2 > 0 here and d00, d11 > 0, d10 >= 0, so both stay positive
         m1, m2 = m1 * d[0][0] + m2 * d[1][0], m2 * d[1][1]
-        if m1 == 0 or m2 == 0:
-            raise ValidationError("degenerate decomposition: a multiplier vanished after rescaling")
-        if m1 < 0:
-            m1, p1 = -m1, _neg(p1)
-        if m2 < 0:
-            m2, p2 = -m2, _neg(p2)
         if tuple(m1 * x + m2 * y for x, y in zip(p1, p2)) != a:
             raise ValidationError("recomposition mismatch after Hermite rescaling")
 

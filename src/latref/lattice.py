@@ -205,17 +205,6 @@ def hnf(a: IntMatrix) -> HnfResult:
     return HnfResult(d, IntMatrix.from_rows(u, cols=a.cols))
 
 
-def lattice_hnf(basis: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice generated by the columns of ``basis``.
-
-    Two matrices generate the same column lattice iff their canonical bases
-    are identical, which makes this the equality test for lattices.
-    """
-    h, _, pivots = _column_echelon(basis)
-    r = len(pivots)
-    return IntMatrix.from_rows([row[:r] for row in h], cols=r)
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Lattice basis of {x integer | a x = 0} (all of it, not a sublattice)."""
     _, u, pivots = _column_echelon(a)
@@ -289,32 +278,32 @@ class KernelSolveResult:
     scale_k: int
 
 
-def kernel_and_solution(a: IntMatrix, b, strategy: str = "embedding",
-                        params: LLLParams = None) -> KernelSolveResult:
+def kernel_and_solution(a: IntMatrix, b, strategy: str = "embedding") -> KernelSolveResult:
     """Compute a reduced kernel basis of A together with a solution of A x = b.
 
     strategy "embedding" runs LLL once on an (n+m+1) x (n+1) weighted
     embedding whose reduced basis exposes both the kernel and the solution;
     strategy "hnf" takes the kernel columns from the HNF transformation
-    matrix and forward-substitutes through D for the solution.  Both agree
-    on the kernel lattice and on scale_k, which the test suite cross-checks.
+    matrix and forward-substitutes through D for the solution.  Both reduce
+    at the default delta 3/4 and agree on the kernel lattice and on
+    scale_k, which the test suite cross-checks.
     """
     b = vec(b)
     if len(b) != a.rows:
         raise DimensionError("rhs length %d for %d rows" % (len(b), a.rows))
     if strategy == "embedding":
-        return _solve_embedding(a, b, params)
+        return _solve_embedding(a, b)
     if strategy == "hnf":
-        return _solve_hnf(a, b, params)
+        return _solve_hnf(a, b)
     raise ValueError("unknown strategy %r" % strategy)
 
 
-def _solve_hnf(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
+def _solve_hnf(a: IntMatrix, b: IntVector) -> KernelSolveResult:
     m, n = a.rows, a.cols
     res = hnf(a)
     kern = IntMatrix.from_rows([row[m:] for row in res.u.data], cols=n - m)
     if kern.cols > 0:
-        kern = lll_reduce(kern, params)
+        kern = lll_reduce(kern)
     # D y = delta b with delta = prod(diag D) always has an integer solution;
     # dividing out g = gcd(delta, y) leaves the least scale_k = delta / g
     delta = prod(res.d.data[i][i] for i in range(m))
@@ -326,7 +315,7 @@ def _solve_hnf(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
     return KernelSolveResult(kern, x0, k == 1, k)
 
 
-def _solve_embedding(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
+def _solve_embedding(a: IntMatrix, b: IntVector) -> KernelSolveResult:
     m, n = a.rows, a.cols
     hnf(a)  # reject rank-deficient input up front; the embedding would only fail opaquely
     biggest = max([1] + [abs(e) for row in a.data for e in row] + [abs(e) for e in b])
@@ -338,7 +327,7 @@ def _solve_embedding(a: IntMatrix, b: IntVector, params) -> KernelSolveResult:
             col = [1 if i == j else 0 for i in range(n)] + [0] + [n2 * a.data[i][j] for i in range(m)]
             emb_cols.append(col)
         emb_cols.append([0] * n + [n1] + [-n2 * b[i] for i in range(m)])
-        red = lll_reduce(IntMatrix.from_cols(emb_cols, rows=n + m + 1), params)
+        red = lll_reduce(IntMatrix.from_cols(emb_cols, rows=n + m + 1))
         kernel_cols = []
         sol = None
         ok = True

@@ -30,7 +30,6 @@ from .exact import (
 from .knapsack import Decomposition, ValidationError, make_decomposition
 from .lattice import (
     IntegerSolver,
-    LLLParams,
     hnf,
     kernel_and_solution,
     kernel_basis,
@@ -186,10 +185,11 @@ def split_basis(q: IntMatrix, policy) -> BasisSplit:
     )
 
 
-def dual_kernel(r: IntMatrix, params: LLLParams = None) -> IntMatrix:
+def dual_kernel(r: IntMatrix) -> IntMatrix:
     """Reduced basis of {y integer | R^T y = 0}, as columns of an n x (n-r) matrix.
 
-    For an empty R this is all of Z^n and the identity is returned.
+    The kernel basis is LLL-reduced at the default delta 3/4.  For an empty
+    R this is all of Z^n and the identity is returned.
     """
     n = r.rows
     if r.cols == 0:
@@ -197,7 +197,7 @@ def dual_kernel(r: IntMatrix, params: LLLParams = None) -> IntMatrix:
     kern = kernel_basis(transpose(r))
     if kern.cols != n - r.cols:
         raise RankError("short block has dependent columns")
-    reduced = lll_reduce(kern, params)
+    reduced = lll_reduce(kern)
     # Negating a column changes neither reducedness nor the lattice; fixing
     # the sign of the trailing entry makes the output deterministic up to
     # the order LLL settles on.
@@ -227,14 +227,14 @@ def solve_multipliers(p: IntMatrix, a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([row[:k] for row in au.data], cols=k)
 
 
-def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
-                   x0, params: LLLParams = None) -> ExtendedFormulation:
+def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> ExtendedFormulation:
     """Assemble the extended formulation for a chosen kernel split.
 
-    P spans the dual of the short block, M recombines A = M P, T = P S.
-    The rows of P generate all of Z^{m+s}, which the integer-equivalence
-    statements downstream rely on; solve_multipliers checks that on the one
-    Hermite form of P it takes and raises IntegralityError when it fails.
+    P spans the dual of the short block (dual_kernel, LLL at delta 3/4),
+    M recombines A = M P, T = P S.  The rows of P generate all of Z^{m+s},
+    which the integer-equivalence statements downstream rely on;
+    solve_multipliers checks that on the one Hermite form of P it takes and
+    raises IntegralityError when it fails.
     """
     x0 = vec(x0)
     if mat_vec(sys.a, x0) != sys.b:
@@ -247,7 +247,7 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix,
     if own != got:
         raise ValidationError("split columns do not match the kernel basis")
 
-    p = transpose(dual_kernel(split.short, params))
+    p = transpose(dual_kernel(split.short))
     m_mat = solve_multipliers(p, sys.a)
     t = mat_mul(p, split.long)
     return ExtendedFormulation(p, m_mat, t, x0, split.s, mat_vec(p, x0))
@@ -298,33 +298,34 @@ def verify_formulation_equivalence(sys: EqualitySystem, ef: ExtendedFormulation,
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Everything detect_decomposition learned about a system."""
+    """Everything detect_decomposition learned about a system.
+
+    The reduced kernel basis is the union of split.short and split.long.
+    """
 
     formulation: ExtendedFormulation
     split: BasisSplit
-    q: IntMatrix
     decomposition: Optional[Decomposition]
     decomposition_error: Optional[str]
 
 
-def detect_decomposition(sys: EqualitySystem, policy=None,
-                         params: LLLParams = None) -> DetectionResult:
+def detect_decomposition(sys: EqualitySystem, policy=None) -> DetectionResult:
     """Run the full detection pipeline on A x = b.
 
-    Computes a reduced kernel basis and a particular solution, splits the
-    basis by the given policy (ratio 100 by default), and builds the
-    extended formulation.  For one-row systems split with s = 1 the
-    two-generator decomposition record is attached, with the multiplier
-    rows ordered so that m1 >= m2.  Raises IntegerInfeasibleError when
-    the system has no integer solution at all.
+    Computes a kernel basis reduced at LLL's default delta 3/4 and a
+    particular solution, splits the basis by the given policy (ratio 100
+    by default), and builds the extended formulation.  For one-row systems
+    split with s = 1 the two-generator decomposition record is attached,
+    with the multiplier rows ordered so that m1 >= m2.  Raises
+    IntegerInfeasibleError when the system has no integer solution at all.
     """
     if policy is None:
         policy = RatioSplit()
-    ks = kernel_and_solution(sys.a, sys.b, params=params)
+    ks = kernel_and_solution(sys.a, sys.b)
     if not ks.feasible:
         raise IntegerInfeasibleError(ks.scale_k, ks.x0)
     split = split_basis(ks.q, policy)
-    ef = build_extended(sys, split, ks.q, ks.x0, params)
+    ef = build_extended(sys, split, ks.q, ks.x0)
     deco = None
     err = None
     if sys.m == 1 and split.s == 1:
@@ -336,4 +337,4 @@ def detect_decomposition(sys: EqualitySystem, policy=None,
             deco = make_decomposition(sys.a.row(0), p1, p2, m1, m2)
         except (ValidationError, ValueError) as e:
             err = str(e)
-    return DetectionResult(ef, split, ks.q, deco, err)
+    return DetectionResult(ef, split, deco, err)

@@ -18,7 +18,7 @@ from math import ceil, floor, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import DimensionError, DomainError, IntMatrix, mat_vec
-from .lattice import LLLParams, kernel_and_solution
+from .lattice import kernel_and_solution
 from .reformulate import (
     EqualitySystem,
     ExtendedFormulation,
@@ -545,7 +545,9 @@ def bnb_feasibility(
     minimizing it from the same basis (charged to the same node); an empty
     range prunes immediately, which is what lets width-0 instances die at
     the root.  Children fix v <= floor and v >= ceil of the LP value within
-    that range, floor side explored first.
+    that range, floor side explored first.  Each child's bound lies inside
+    the parent's exact LP range, so its LP is feasible: only the root can
+    be pruned by an infeasible phase 1.
     """
     cfg = cfg or BnbConfig()
     space = _BnbSpace(sys, ef)
@@ -692,26 +694,26 @@ def compare_formulations(
     sys: EqualitySystem,
     s_values: Sequence[int],
     cfg: Optional[BnbConfig] = None,
-    params: Optional[LLLParams] = None,
 ) -> ComparisonTable:
     """Run the same feasibility question through the original system, the
     full substitution (s = n - m, so x follows from the multipliers), and
-    one extended formulation per requested s.  Decided statuses must agree;
+    one extended formulation per requested s, all built on one kernel basis
+    reduced at LLL's default delta 3/4.  Decided statuses must agree;
     node-limited rows are reported as-is.
     """
     cfg = cfg or BnbConfig()
-    ks = kernel_and_solution(sys.a, sys.b, params=params)
+    ks = kernel_and_solution(sys.a, sys.b)
     if not ks.feasible:
         raise IntegerInfeasibleError(ks.scale_k, ks.x0)
     d = sys.n - sys.m
 
     rows = [_row("original", bnb_feasibility(sys, None, cfg))]
 
-    full = build_extended(sys, split_basis(ks.q, FixedSplit(d)), ks.q, ks.x0, params)
+    full = build_extended(sys, split_basis(ks.q, FixedSplit(d)), ks.q, ks.x0)
     rows.append(_row("ahl", bnb_feasibility(sys, full, cfg)))
 
     for s in s_values:
-        ef = build_extended(sys, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0, params)
+        ef = build_extended(sys, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0)
         rows.append(_row("ext s=%d" % s, bnb_feasibility(sys, ef, cfg)))
 
     decided = {r.status for r in rows if r.status != "node_limit"}

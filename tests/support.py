@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 from latref import make_decomposition
 from latref.exact import DimensionError, IntMatrix, IntVector, RankError, dot, norm_sq
 from latref.knapsack import Decomposition, ValidationError, integer_width
-from latref.lattice import IntegerSolver, LLLParams
+from latref.lattice import IntegerSolver, LLLParams, _column_echelon
 
 
 def representable_sieve(a, limit):
@@ -303,6 +303,17 @@ def is_lll_reduced(basis: IntMatrix, params: LLLParams = None) -> bool:
             if lhs < params.delta * gs.norms_sq[j - 1]:
                 return False
     return True
+
+
+def lattice_hnf(basis: IntMatrix) -> IntMatrix:
+    """Canonical basis of the lattice generated by the columns of ``basis``.
+
+    Two matrices generate the same column lattice iff their canonical bases
+    are identical, which makes this the equality test for lattices.
+    """
+    h, _, pivots = _column_echelon(basis)
+    r = len(pivots)
+    return IntMatrix.from_rows([row[:r] for row in h], cols=r)
 
 
 def solve_integer(a: IntMatrix, rhs: IntVector) -> Optional[IntVector]:

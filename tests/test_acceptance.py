@@ -29,7 +29,7 @@ from latref import (
     width_bounds,
 )
 from latref.exact import IntMatrix, mat_mul, mat_vec, transpose
-from latref.lattice import hnf, kernel_and_solution, lattice_hnf, lll_reduce
+from latref.lattice import hnf, kernel_and_solution, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
     FixedSplit,
@@ -38,7 +38,14 @@ from latref.reformulate import (
     split_basis,
     verify_formulation_equivalence,
 )
-from support import det, gram_schmidt, hnf_oracle, random_decomposition, representable_sieve
+from support import (
+    det,
+    gram_schmidt,
+    hnf_oracle,
+    lattice_hnf,
+    random_decomposition,
+    representable_sieve,
+)
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481

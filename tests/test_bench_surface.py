@@ -11,8 +11,11 @@ import importlib.util
 from pathlib import Path
 
 from latref import BnbConfig
+from latref.cli import emit_instance
 from latref.exact import IntMatrix
 from latref.lattice import kernel_and_solution
+from latref.reformulate import EqualitySystem, FixedSplit, build_extended, split_basis
+from latref.solver import bnb_feasibility, gen_market_split
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -30,7 +33,13 @@ def test_every_traced_attribute_resolves():
 
 
 def test_benchmark_call_signatures():
-    ks = kernel_and_solution(IntMatrix.from_rows([(6, 10, 15)]), (7,), strategy="hnf")
+    sys_ = EqualitySystem(IntMatrix.from_rows([(6, 10, 15)]), (7,))
+    ks = kernel_and_solution(sys_.a, sys_.b, strategy="hnf")
     assert ks.feasible and ks.q.cols == 2
+    split = split_basis(ks.q, FixedSplit(2))
+    ef = build_extended(sys_, split, ks.q, ks.x0)
+    assert ef.s == 2
     cfg = BnbConfig(branch_priority=["mu1", "mu0"], node_limit=10)
     assert (cfg.branch_priority, cfg.node_limit) == (("mu1", "mu0"), 10)
+    assert bnb_feasibility(sys_, ef, cfg).status == "infeasible"  # x >= 0 by default
+    assert emit_instance(gen_market_split(2, 1)).startswith("2 10\n")

@@ -18,8 +18,8 @@ from latref.cli import (
 )
 from latref import lattice
 from latref.exact import DomainError, IntMatrix
-from latref.lattice import lattice_hnf
 from latref.reformulate import EqualitySystem, IntegralityError
+from support import lattice_hnf
 
 CUWW1_TEXT = "1 5\n12223 12224 36674 61119 85569\n89643481\n"
 TWOROW_TEXT = "2 5\n1 -5 -4 11 5\n-13 -2 -12 -11 1\n8 -37\n"
@@ -205,6 +205,18 @@ def test_width_cuww1(tmp_path):
     assert obj["width"] == 0
 
 
+def test_width_text_report(tmp_path, capsys):
+    rc = main(["width", write(tmp_path, CUWW1_TEXT), "--b", "89643481"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == (
+        "j = 0, k = 2\n"
+        "mu upper = -268930443/36674\n"
+        "mu lower = -89643481/12223\n"
+        "width raw = 0 (floor -7334 - ceil -7333 + 1)\n"
+        "width = 0\n"
+    )
+
+
 def test_width_rejects_multirow(tmp_path):
     path = write(tmp_path, TWOROW_TEXT)
     with pytest.raises(SystemExit) as ei:
@@ -220,6 +232,37 @@ def test_frobenius_bound_cuww1(tmp_path):
     assert obj["failed_assumptions"] == []
     assert obj["bound"] == "1344505514/15"
     assert obj["bound_floor"] == 89633700
+
+
+BOUND_TEXT = "bound = 1344505514/15 (floor 89633700), case positive_q1\n"
+
+
+def test_frobenius_bound_text_report(tmp_path, capsys):
+    rc = main(["frobenius-bound", write(tmp_path, CUWW1_TEXT)])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == BOUND_TEXT
+
+
+def test_json_to_file_keeps_text_report(tmp_path, capsys):
+    """--json PATH writes the --json - payload plus a newline to PATH and
+    still prints the text report."""
+    path = write(tmp_path, CUWW1_TEXT)
+    dest = tmp_path / "out.json"
+    assert main(["frobenius-bound", path, "--json", "-"]) == EXIT_OK
+    payload = capsys.readouterr().out
+    assert main(["frobenius-bound", path, "--json", str(dest)]) == EXIT_OK
+    assert capsys.readouterr().out == BOUND_TEXT
+    assert dest.read_text() == payload
+
+
+def test_frobenius_exact_resource_limit_exits_3(tmp_path, capsys):
+    rc = main(["frobenius-exact", write(tmp_path, "1 2\n1000003 1000004\n5\n")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_frobenius_exact_small(tmp_path, capsys):

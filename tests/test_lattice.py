@@ -13,12 +13,18 @@ from latref.lattice import (
     hnf,
     kernel_and_solution,
     kernel_basis,
-    lattice_hnf,
     lll_reduce,
 )
 from latref.reformulate import FixedSplit, split_basis
 from latref.solver import gen_market_split
-from support import det, hnf_oracle, is_lll_reduced, lll_reduce_reference, solve_integer
+from support import (
+    det,
+    hnf_oracle,
+    is_lll_reduced,
+    lattice_hnf,
+    lll_reduce_reference,
+    solve_integer,
+)
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 

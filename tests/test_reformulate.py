@@ -6,7 +6,7 @@ import pytest
 
 from latref.exact import DomainError, IntMatrix, identity, mat_mul, mat_vec, norm_sq
 from latref import reformulate
-from latref.lattice import kernel_and_solution, kernel_basis, lattice_hnf, lll_reduce
+from latref.lattice import kernel_and_solution, kernel_basis, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
     FixedSplit,
@@ -21,6 +21,7 @@ from latref.reformulate import (
     split_basis,
     verify_formulation_equivalence,
 )
+from support import lattice_hnf
 
 TWOROW_A = IntMatrix.from_rows([(1, -5, -4, 11, 5), (-13, -2, -12, -11, 1)])
 TWOROW_B = (8, -37)  # A applied to the all-ones point
@@ -168,8 +169,8 @@ def test_build_extended_rejects_non_primitive_p(monkeypatch):
     """A P whose rows miss part of Z^{m+s} is reported, not rescaled away."""
     real = reformulate.dual_kernel
 
-    def doubled(r, params=None):
-        cols = real(r, params).col_list()
+    def doubled(r):
+        cols = real(r).col_list()
         cols[0] = tuple(2 * x for x in cols[0])
         return IntMatrix.from_cols(cols, rows=r.rows)
 

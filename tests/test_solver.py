@@ -16,10 +16,11 @@ from latref import (
 )
 from latref import solver
 from latref.exact import DomainError, IntMatrix, mat_mul, mat_vec, transpose
-from latref.lattice import LLLParams, kernel_and_solution, lll_reduce
+from latref.lattice import kernel_and_solution, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
     FixedSplit,
+    build_extended,
     detect_decomposition,
     dual_kernel,
     split_basis,
@@ -369,6 +370,47 @@ def test_bnb_node_lp_is_phase1(monkeypatch):
     assert {id(sx) for sx, _ in calls} == {id(sx) for sx in feasible}
 
 
+@pytest.mark.parametrize("form", ["original", "extended"])
+def test_bnb_prunes_infeasible_root_lp(form, monkeypatch):
+    """x0 + x1 + x2 = 5 over binaries has no LP point: the root's phase 1
+    returns a checked Farkas vector and the search ends after one node."""
+    farkas = []
+    real = solver._Simplex._check_farkas
+
+    def spy(self, y):
+        farkas.append(y)
+        real(self, y)
+
+    monkeypatch.setattr(solver._Simplex, "_check_farkas", spy)
+    sys_ = EqualitySystem(IntMatrix.from_rows([(1, 1, 1)]), (5,),
+                          var_lower=(0, 0, 0), var_upper=(1, 1, 1))
+    ef = None
+    if form == "extended":
+        ks = kernel_and_solution(sys_.a, sys_.b)
+        ef = build_extended(sys_, split_basis(ks.q, FixedSplit(1)), ks.q, ks.x0)
+    r = bnb_feasibility(sys_, ef)
+    assert (r.status, r.nodes) == ("infeasible", 1)
+    assert len(farkas) == 1
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_M2))
+def test_bnb_child_lps_stay_feasible_m2(seed, monkeypatch):
+    """Children are cut inside the parent's exact probe range, so their
+    phase 1 is feasible; on these instances the roots are LP-feasible too."""
+    statuses = []
+    real = solver._Simplex.phase1
+
+    def spy(self):
+        r = real(self)
+        statuses.append(r.status)
+        return r
+
+    monkeypatch.setattr(solver._Simplex, "phase1", spy)
+    tab = compare_formulations(gen_market_split(2, seed), (1, 4, 8))
+    assert len(statuses) == sum(r.nodes for r in tab.rows)
+    assert set(statuses) == {"feasible"}
+
+
 @pytest.mark.parametrize("where", ["objective", "row", "rhs", "bound"])
 def test_lp_problem_rejects_bools(where):
     parts = {"objective": (1,), "row": ((1,),), "rhs": (1,), "bound": ((0, 1),)}
@@ -470,22 +512,6 @@ def test_compare_formulations_cuww1():
     decided = [r for r in tab.rows if r.status != "node_limit"]
     assert decided and all(r.status == "infeasible" for r in decided)
     assert by_label["ext s=1"].nodes <= by_label["ahl"].nodes + 5
-
-
-def test_compare_formulations_passes_lll_params(monkeypatch):
-    deltas = []
-
-    def recording(basis, params=None):
-        deltas.append(None if params is None else params.delta)
-        return lll_reduce(basis, params)
-
-    monkeypatch.setattr("latref.lattice.lll_reduce", recording)
-    monkeypatch.setattr("latref.reformulate.lll_reduce", recording)
-    compare_formulations(gen_market_split(2, 1), (1, 4), BnbConfig(node_limit=50),
-                         params=LLLParams(1))
-    # the kernel basis, then the dual kernels of the s=1 and s=4 short blocks
-    assert len(deltas) >= 3
-    assert set(deltas) == {1}
 
 
 def test_compare_formulations_market_split():
