@@ -35,7 +35,6 @@ from .knapsack import (
 )
 from .lattice import (
     HnfResult,
-    IntegerSolver,
     KernelSolveResult,
     LLLParams,
     hnf,
@@ -47,7 +46,6 @@ from .reformulate import (
     BasisSplit,
     DetectionResult,
     EqualitySystem,
-    EquivalenceReport,
     ExtendedFormulation,
     FixedSplit,
     IntegerInfeasibleError,
@@ -59,7 +57,6 @@ from .reformulate import (
     project_affine,
     solve_multipliers,
     split_basis,
-    verify_formulation_equivalence,
 )
 from .solver import (
     BnbConfig,

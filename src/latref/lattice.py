@@ -3,8 +3,10 @@
 Integral LLL reduction (integer Gram-Schmidt data, its rows built lazily
 because input bases can have huge entries while reduced ones are small),
 column-style Hermite normal form with transformation matrix, integer
-kernel bases, and the combined kernel-plus-particular-solution
-computation for A x = b.
+kernel bases from the echelon transform, and the weighted LLL embedding
+that gives every reduced kernel the pipeline uses: with a right-hand side
+for kernel_and_solution on A x = b, without one for the dual kernel of the
+short block R.
 """
 
 from dataclasses import dataclass
@@ -228,34 +230,6 @@ def forward_substitute(rows, rhs) -> Optional[List[int]]:
     return y
 
 
-class IntegerSolver:
-    """Repeated integer solves of a x = rhs against a fixed matrix.
-
-    The column echelon form is computed once; each solve is then a cheap
-    forward substitution with divisibility checks plus a full residual
-    check (so inconsistent right-hand sides are caught even on the rows
-    that carry no pivot).
-    """
-
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        h, self.u, self.pivots = _column_echelon(a)
-        self.pivot_rows = [h[i] for i in self.pivots]
-
-    def solve(self, rhs) -> Optional[IntVector]:
-        if len(rhs) != self.a.rows:
-            raise DimensionError("rhs length %d for %d rows" % (len(rhs), self.a.rows))
-        w = forward_substitute(self.pivot_rows, [rhs[i] for i in self.pivots])
-        if w is None:
-            return None
-        # w holds the pivot columns' weights; map stops there, so the
-        # columns past the rank count as 0
-        x = tuple(sum(map(mul, row, w)) for row in self.u)
-        if mat_vec(self.a, x) != tuple(rhs):
-            return None
-        return x
-
-
 # ---------------------------------------------------------------------------
 # Kernel lattice basis plus particular solution of A x = b
 
@@ -282,11 +256,12 @@ def kernel_and_solution(a: IntMatrix, b, strategy: str = "embedding") -> KernelS
     """Compute a reduced kernel basis of A together with a solution of A x = b.
 
     strategy "embedding" runs LLL once on an (n+m+1) x (n+1) weighted
-    embedding whose reduced basis exposes both the kernel and the solution;
-    strategy "hnf" takes the kernel columns from the HNF transformation
-    matrix and forward-substitutes through D for the solution.  Both reduce
-    at the default delta 3/4 and agree on the kernel lattice and on
-    scale_k, which the test suite cross-checks.
+    embedding whose reduced basis exposes both the kernel and the solution
+    (reformulate.dual_kernel runs the same reduction on R^T, without the
+    solution column); strategy "hnf" takes the kernel columns from the HNF
+    transformation matrix and forward-substitutes through D for the
+    solution.  Both reduce at the default delta 3/4 and agree on the kernel
+    lattice and on scale_k, which the test suite cross-checks.
     """
     b = vec(b)
     if len(b) != a.rows:
@@ -316,9 +291,34 @@ def _solve_hnf(a: IntMatrix, b: IntVector) -> KernelSolveResult:
 
 
 def _solve_embedding(a: IntMatrix, b: IntVector) -> KernelSolveResult:
-    m, n = a.rows, a.cols
     hnf(a)  # reject rank-deficient input up front; the embedding would only fail opaquely
-    biggest = max([1] + [abs(e) for row in a.data for e in row] + [abs(e) for e in b])
+    kernel_cols, (x, t) = _reduce_embedding(a, b)
+    k = abs(t)
+    x0 = tuple(e if t > 0 else -e for e in x)
+    if mat_vec(a, x0) != tuple(k * e for e in b):
+        raise ArithmeticError("embedding produced an inconsistent solution column")
+    q = IntMatrix.from_cols(kernel_cols, rows=a.cols)
+    return KernelSolveResult(q, x0, k == 1, k)
+
+
+def _reduce_embedding(a: IntMatrix, b: Optional[IntVector] = None):
+    """LLL-reduced kernel of A and, given a right-hand side b, one solution.
+
+    Reduces the columns of the weighted embedding [I 0; 0 N1; N2 A -N2 b]
+    (Aardal, Hurkens and Lenstra 2000), N2 = N1^2; without b the last
+    column is left out and the N1 row stays zero.  Once the weights
+    separate the blocks, the columns with a zero bottom block are a reduced
+    basis of the kernel lattice plus, with b, exactly one column
+    (x, N1 t, 0) with A x = t b.  Returns (kernel columns, (x, t)), or
+    (kernel columns, None) without b; the weights start at
+    N1 = 2 n max|A, b| and are squared up to three times until the blocks
+    separate.  A must have full row rank, which the callers check: a
+    rank-deficient A can show the expected number of kernel columns and
+    still return a sublattice.
+    """
+    m, n = a.rows, a.cols
+    rhs = () if b is None else b
+    biggest = max([1] + [abs(e) for row in a.data for e in row] + [abs(e) for e in rhs])
     n1 = 2 * n * biggest
     for _attempt in range(4):
         n2 = n1 * n1
@@ -326,7 +326,8 @@ def _solve_embedding(a: IntMatrix, b: IntVector) -> KernelSolveResult:
         for j in range(n):
             col = [1 if i == j else 0 for i in range(n)] + [0] + [n2 * a.data[i][j] for i in range(m)]
             emb_cols.append(col)
-        emb_cols.append([0] * n + [n1] + [-n2 * b[i] for i in range(m)])
+        if b is not None:
+            emb_cols.append([0] * n + [n1] + [-n2 * e for e in b])
         red = lll_reduce(IntMatrix.from_cols(emb_cols, rows=n + m + 1))
         kernel_cols = []
         sol = None
@@ -342,13 +343,7 @@ def _solve_embedding(a: IntMatrix, b: IntVector) -> KernelSolveResult:
                 sol = (x, tval // n1)
             else:
                 ok = False
-        if ok and sol is not None and len(kernel_cols) == n - m:
-            x, t = sol
-            k = abs(t)
-            x0 = tuple(e if t > 0 else -e for e in x)
-            if mat_vec(a, x0) != tuple(k * e for e in b):
-                raise ArithmeticError("embedding produced an inconsistent solution column")
-            q = IntMatrix.from_cols(kernel_cols, rows=n)
-            return KernelSolveResult(q, x0, k == 1, k)
+        if ok and (b is None or sol is not None) and len(kernel_cols) == n - m:
+            return kernel_cols, sol
         n1 = n1 * n1  # weights too small to separate the blocks; square and retry
-    raise ArithmeticError("embedding failed to separate kernel and solution after 4 weight levels")
+    raise ArithmeticError("embedding failed to separate the kernel after 4 weight levels")

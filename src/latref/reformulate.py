@@ -10,7 +10,6 @@ two-generator decomposition of the row, which the knapsack module turns
 into width and Frobenius statements.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,7 +18,6 @@ from .exact import (
     DomainError,
     IntMatrix,
     IntVector,
-    RankError,
     identity,
     mat_mul,
     mat_vec,
@@ -29,7 +27,7 @@ from .exact import (
 )
 from .knapsack import Decomposition, ValidationError, make_decomposition
 from .lattice import (
-    IntegerSolver,
+    _reduce_embedding,
     hnf,
     kernel_and_solution,
     kernel_basis,
@@ -188,21 +186,22 @@ def split_basis(q: IntMatrix, policy) -> BasisSplit:
 def dual_kernel(r: IntMatrix) -> IntMatrix:
     """Reduced basis of {y integer | R^T y = 0}, as columns of an n x (n-r) matrix.
 
-    The kernel basis is LLL-reduced at the default delta 3/4.  For an empty
-    R this is all of Z^n and the identity is returned.
+    The kernel comes from the same LLL-reduced weighted embedding that
+    kernel_and_solution uses, on R^T with no right-hand side, so its
+    entries stay small.  LLL on R itself first checks exactly that the
+    columns of R are independent and raises RankError otherwise.  For an
+    empty R this is all of Z^n and the identity is returned.
     """
     n = r.rows
     if r.cols == 0:
         return identity(n)
-    kern = kernel_basis(transpose(r))
-    if kern.cols != n - r.cols:
-        raise RankError("short block has dependent columns")
-    reduced = lll_reduce(kern)
+    lll_reduce(r)
+    kernel_cols, _ = _reduce_embedding(transpose(r))
     # Negating a column changes neither reducedness nor the lattice; fixing
     # the sign of the trailing entry makes the output deterministic up to
     # the order LLL settles on.
     cols = []
-    for c in reduced.col_list():
+    for c in kernel_cols:
         last = next((x for x in reversed(c) if x != 0), 0)
         cols.append(tuple(-x for x in c) if last < 0 else c)
     return IntMatrix.from_cols(cols, rows=n)
@@ -230,7 +229,8 @@ def solve_multipliers(p: IntMatrix, a: IntMatrix) -> IntMatrix:
 def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> ExtendedFormulation:
     """Assemble the extended formulation for a chosen kernel split.
 
-    P spans the dual of the short block (dual_kernel, LLL at delta 3/4),
+    P spans the dual of the short block (dual_kernel: the kernel of R^T
+    from the LLL embedding at delta 3/4 that kernel_and_solution runs on A),
     M recombines A = M P, T = P S.  The rows of P generate all of Z^{m+s},
     which the integer-equivalence statements downstream rely on;
     solve_multipliers checks that on the one Hermite form of P it takes and
@@ -251,49 +251,6 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> 
     m_mat = solve_multipliers(p, sys.a)
     t = mat_mul(p, split.long)
     return ExtendedFormulation(p, m_mat, t, x0, split.s, mat_vec(p, x0))
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of enumerating a box: every discrepancy witness, both ways."""
-
-    points_checked: int
-    missing: Tuple[IntVector, ...]  # in the original solution set, not in the extended one
-    extra: Tuple[IntVector, ...]    # representable by the extended system, not a solution
-
-    @property
-    def equivalent(self) -> bool:
-        return not self.missing and not self.extra
-
-
-def verify_formulation_equivalence(sys: EqualitySystem, ef: ExtendedFormulation,
-                                   lo, hi) -> EquivalenceReport:
-    """Enumerate every integer point of the box [lo, hi] and compare
-    membership in {x | A x = b} against solvability of T mu = P x - P x0.
-    """
-    lo, hi = vec(lo), vec(hi)
-    if len(lo) != sys.n or len(hi) != sys.n:
-        raise DimensionError("box bounds must have one entry per variable")
-    tsolver = IntegerSolver(ef.t)
-    arows = sys.a.data
-    prows = ef.p.data
-    b = sys.b
-    px0 = ef.px0
-    missing = []
-    extra = []
-    count = 0
-    for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        count += 1
-        in_x = all(sum(r[i] * x[i] for i in range(len(x))) == bi for r, bi in zip(arows, b))
-        rhs = tuple(
-            sum(r[i] * x[i] for i in range(len(x))) - p0 for r, p0 in zip(prows, px0)
-        )
-        in_ext = tsolver.solve(rhs) is not None
-        if in_x and not in_ext:
-            missing.append(x)
-        elif in_ext and not in_x:
-            extra.append(x)
-    return EquivalenceReport(count, tuple(missing), tuple(extra))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,23 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from latref import make_decomposition
-from latref.exact import DimensionError, IntMatrix, IntVector, RankError, dot, norm_sq
+from latref.exact import (
+    DimensionError,
+    IntMatrix,
+    IntVector,
+    RankError,
+    dot,
+    mat_vec,
+    norm_sq,
+    vec,
+)
 from latref.knapsack import Decomposition, ValidationError, integer_width
-from latref.lattice import IntegerSolver, LLLParams, _column_echelon
+from latref.lattice import LLLParams, _column_echelon, forward_substitute
+from latref.reformulate import EqualitySystem, ExtendedFormulation
 
 
 def representable_sieve(a, limit):
@@ -314,6 +325,81 @@ def lattice_hnf(basis: IntMatrix) -> IntMatrix:
     h, _, pivots = _column_echelon(basis)
     r = len(pivots)
     return IntMatrix.from_rows([row[:r] for row in h], cols=r)
+
+
+# ---------------------------------------------------------------------------
+# Integer solves and box-enumeration equivalence, used only as test oracles
+
+
+class IntegerSolver:
+    """Repeated integer solves of a x = rhs against a fixed matrix.
+
+    The column echelon form is computed once; each solve is then a cheap
+    forward substitution with divisibility checks plus a full residual
+    check (so inconsistent right-hand sides are caught even on the rows
+    that carry no pivot).
+    """
+
+    def __init__(self, a: IntMatrix):
+        self.a = a
+        h, self.u, self.pivots = _column_echelon(a)
+        self.pivot_rows = [h[i] for i in self.pivots]
+
+    def solve(self, rhs) -> Optional[IntVector]:
+        if len(rhs) != self.a.rows:
+            raise DimensionError("rhs length %d for %d rows" % (len(rhs), self.a.rows))
+        w = forward_substitute(self.pivot_rows, [rhs[i] for i in self.pivots])
+        if w is None:
+            return None
+        # w holds the pivot columns' weights; map stops there, so the
+        # columns past the rank count as 0
+        x = tuple(sum(map(mul, row, w)) for row in self.u)
+        if mat_vec(self.a, x) != tuple(rhs):
+            return None
+        return x
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Outcome of enumerating a box: every discrepancy witness, both ways."""
+
+    points_checked: int
+    missing: Tuple[IntVector, ...]  # in the original solution set, not in the extended one
+    extra: Tuple[IntVector, ...]    # representable by the extended system, not a solution
+
+    @property
+    def equivalent(self) -> bool:
+        return not self.missing and not self.extra
+
+
+def verify_formulation_equivalence(sys: EqualitySystem, ef: ExtendedFormulation,
+                                   lo, hi) -> EquivalenceReport:
+    """Enumerate every integer point of the box [lo, hi] and compare
+    membership in {x | A x = b} against solvability of T mu = P x - P x0.
+    """
+    lo, hi = vec(lo), vec(hi)
+    if len(lo) != sys.n or len(hi) != sys.n:
+        raise DimensionError("box bounds must have one entry per variable")
+    tsolver = IntegerSolver(ef.t)
+    arows = sys.a.data
+    prows = ef.p.data
+    b = sys.b
+    px0 = ef.px0
+    missing = []
+    extra = []
+    count = 0
+    for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        count += 1
+        in_x = all(sum(r[i] * x[i] for i in range(len(x))) == bi for r, bi in zip(arows, b))
+        rhs = tuple(
+            sum(r[i] * x[i] for i in range(len(x))) - p0 for r, p0 in zip(prows, px0)
+        )
+        in_ext = tsolver.solve(rhs) is not None
+        if in_x and not in_ext:
+            missing.append(x)
+        elif in_ext and not in_x:
+            extra.append(x)
+    return EquivalenceReport(count, tuple(missing), tuple(extra))
 
 
 def solve_integer(a: IntMatrix, rhs: IntVector) -> Optional[IntVector]:

@@ -36,7 +36,6 @@ from latref.reformulate import (
     build_extended,
     detect_decomposition,
     split_basis,
-    verify_formulation_equivalence,
 )
 from support import (
     det,
@@ -45,6 +44,7 @@ from support import (
     lattice_hnf,
     random_decomposition,
     representable_sieve,
+    verify_formulation_equivalence,
 )
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)

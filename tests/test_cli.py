@@ -354,11 +354,11 @@ def test_internal_consistency_failure_exits_4(
 
 @pytest.mark.parametrize(
     "args,echelons",
-    [(["reformulate", "--s", "1"], 5), (["solve", "--formulation", "ext"], 4)],
+    [(["reformulate", "--s", "1"], 4), (["solve", "--formulation", "ext"], 3)],
 )
 def test_cli_echelon_count(tmp_path, capsys, monkeypatch, args, echelons):
-    """A, R^T, P and (for reformulate) (p1; p2) are each echelonned once,
-    apart from A's rank check in EqualitySystem."""
+    """A, P and (for reformulate) (p1; p2) are each echelonned once, apart
+    from A's rank check in EqualitySystem."""
     calls = [0]
     real = lattice._column_echelon
 

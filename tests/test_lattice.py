@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from latref.exact import IntMatrix, RankError, identity, mat_vec, norm_sq, transpose
 from latref.lattice import (
-    IntegerSolver,
     LLLParams,
     forward_substitute,
     hnf,
@@ -18,6 +17,7 @@ from latref.lattice import (
 from latref.reformulate import FixedSplit, split_basis
 from latref.solver import gen_market_split
 from support import (
+    IntegerSolver,
     det,
     hnf_oracle,
     is_lll_reduced,
@@ -164,9 +164,10 @@ def test_lll_empty_and_zero_column(rows):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_lll_matches_reference_on_dual_kernel_input(m, monkeypatch):
-    """The basis dual_kernel reduces for the s=1 short block of market
-    split: 4,719-bit entries at m=4 and 146,728-bit ones at m=5.  The
-    integral LLL gets through it without building a single Fraction."""
+    """An LLL stress input: the unreduced echelon kernel basis of R^T for
+    the s=1 short block of market split, with 4,719-bit entries at m=4 and
+    146,728-bit ones at m=5.  The integral LLL gets through it without
+    building a single Fraction."""
     sys_ = gen_market_split(m, 1)
     short = split_basis(kernel_and_solution(sys_.a, sys_.b).q, FixedSplit(1)).short
     kern = kernel_basis(transpose(short))

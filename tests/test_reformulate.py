@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from latref.exact import DomainError, IntMatrix, identity, mat_mul, mat_vec, norm_sq
+from latref.exact import (
+    DomainError,
+    IntMatrix,
+    RankError,
+    identity,
+    mat_mul,
+    mat_vec,
+    norm_sq,
+    transpose,
+)
 from latref import reformulate
 from latref.lattice import kernel_and_solution, kernel_basis, lll_reduce
 from latref.reformulate import (
@@ -19,9 +28,9 @@ from latref.reformulate import (
     project_affine,
     solve_multipliers,
     split_basis,
-    verify_formulation_equivalence,
 )
-from support import lattice_hnf
+from latref.solver import gen_market_split
+from support import full_row_rank, is_lll_reduced, lattice_hnf, verify_formulation_equivalence
 
 TWOROW_A = IntMatrix.from_rows([(1, -5, -4, 11, 5), (-13, -2, -12, -11, 1)])
 TWOROW_B = (8, -37)  # A applied to the all-ones point
@@ -119,6 +128,49 @@ def test_dual_kernel_fixtures():
 
     assert dual_kernel(IntMatrix.from_cols([], rows=4)).data == identity(4).data
     assert dual_kernel(IntMatrix.from_cols([(1, 0)])).col_list() == [(0, 1)]
+
+
+def _dual_kernel_cases():
+    """Random full-column-rank R with n <= 7, then the s=1 and s=4 short
+    blocks of market split m=2 and m=3."""
+    rng = random.Random(23)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(2, 7)
+        cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        if full_row_rank(cols):
+            cases.append(IntMatrix.from_cols(cols, rows=n))
+    for m in (2, 3):
+        sys_ = gen_market_split(m, 1)
+        q = kernel_and_solution(sys_.a, sys_.b).q
+        cases += [split_basis(q, FixedSplit(s)).short for s in (1, 4)]
+    return cases
+
+
+def test_dual_kernel_matches_echelon_transform():
+    """The embedding kernel spans the lattice of the echelon route's kernel
+    basis, is LLL-reduced, and annihilates R, on random full-column-rank R
+    and on short blocks of market split."""
+    for r in _dual_kernel_cases():
+        y, rt = dual_kernel(r), transpose(r)
+        assert y.cols == r.rows - r.cols
+        assert lattice_hnf(y).data == lattice_hnf(kernel_basis(rt)).data
+        assert is_lll_reduced(y)
+        assert all(not any(mat_vec(rt, c)) for c in y.col_list())
+
+
+def test_dual_kernel_rejects_repeated_column():
+    r = IntMatrix.from_cols([(1, 2, 0, 3), (0, 1, 1, 1), (1, 2, 0, 3)])
+    with pytest.raises(RankError):
+        dual_kernel(r)
+
+
+def test_dual_kernel_entries_stay_small_at_m6():
+    """At m=6 the unreduced echelon kernel basis of R^T has about a
+    million bits per entry and takes half a minute to build; dual_kernel
+    must keep P small."""
+    p = detect_decomposition(gen_market_split(6, 1), FixedSplit(1)).formulation.p
+    assert max(abs(e).bit_length() for row in p.data for e in row) <= 16
 
 
 def test_solve_multipliers_fixtures():
