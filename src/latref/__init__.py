@@ -62,12 +62,9 @@ from .solver import (
     BnbConfig,
     BnbResult,
     ComparisonTable,
-    LpProblem,
-    LpResult,
     bnb_feasibility,
     compare_formulations,
     gen_market_split,
-    lp_solve,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Exact LP-based feasibility testing for the original and reformulated systems.
 
-Everything here runs in exact arithmetic: the simplex solver keeps a dense
-fraction-free integer tableau over one common denominator (Bareiss pivoting)
-and uses Bland's rule, so it terminates without tolerances, and every answer
-carries a rational certificate that is re-verified before it is returned.
-Branch and bound sits on top of that: phase 1 of the simplex is each
-node's feasibility LP, and two bound probes for the chosen branching
-variable reoptimize from its feasible basis.
+Everything here runs in exact integer arithmetic: the simplex solver keeps
+a dense fraction-free integer tableau over one common denominator
+(Bareiss pivoting), basic values included, and uses Bland's rule, so it
+terminates without tolerances, and every answer carries a certificate
+that is re-verified in integers before it is returned.  Branch and bound
+sits on top of that: phase 1 of the simplex is each node's feasibility
+LP, and two bound probes for the chosen branching variable reoptimize
+from its feasible basis.
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
@@ -14,10 +15,10 @@ and "mu0", "mu1", ... for the multipliers of an extended formulation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm, prod
+from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import DimensionError, DomainError, IntMatrix, mat_vec
+from .exact import DomainError, IntMatrix, mat_vec
 from .lattice import kernel_and_solution
 from .reformulate import (
     EqualitySystem,
@@ -28,57 +29,7 @@ from .reformulate import (
     split_basis,
 )
 
-Bound = Optional[Fraction]
-
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise DomainError("expected an exact rational, got %r" % (x,))
-
-
-def _opt_rat(x) -> Bound:
-    return None if x is None else _rat(x)
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """max/min objective . x  subject to  eq_lhs x = eq_rhs, bounds on x.
-
-    var_bounds holds one (lower, upper) pair per column; None means the
-    direction is unbounded.
-    """
-
-    objective: Tuple[Fraction, ...]
-    eq_lhs: Tuple[Tuple[Fraction, ...], ...]
-    eq_rhs: Tuple[Fraction, ...]
-    var_bounds: Tuple[Tuple[Bound, Bound], ...]
-
-    def __post_init__(self):
-        obj = tuple(_rat(c) for c in self.objective)
-        lhs = tuple(tuple(_rat(v) for v in row) for row in self.eq_lhs)
-        rhs = tuple(_rat(v) for v in self.eq_rhs)
-        bounds = tuple((_opt_rat(lo), _opt_rat(hi)) for lo, hi in self.var_bounds)
-        n = len(obj)
-        if any(len(row) != n for row in lhs) or len(bounds) != n:
-            raise DimensionError("objective, rows and bounds disagree on column count")
-        if len(rhs) != len(lhs):
-            raise DimensionError("rhs length does not match row count")
-        for lo, hi in bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise DomainError("variable bounds cross: %s > %s" % (lo, hi))
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "eq_lhs", lhs)
-        object.__setattr__(self, "eq_rhs", rhs)
-        object.__setattr__(self, "var_bounds", bounds)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -94,87 +45,94 @@ class LpResult:
 class _Simplex:
     """Bounded-variable two-phase simplex on a fraction-free integer tableau.
 
-    The inputs are plain sequences: rows and rhs of ints or Fractions, and
-    one (lower, upper) pair per column of ints, Fractions or None.  They are
-    kept as given and the certificate checks read them directly.  Column
-    values are always Fractions, so every ratio and value update is exact
-    whatever mix of ints and Fractions comes in.
+    The inputs are integer rows and rhs, and one (lower, upper) pair per
+    column of ints or None.  They are kept as given and the certificate
+    checks read them directly.  A nonbasic column always sits at one of
+    its bounds, or at 0 when it is free, so every nonbasic value is an
+    integer.
 
-    The tableau B^-1 [A | I] is held as Python ints T over one common
-    denominator den > 0: the true entry is T[i][j] / den, and den is |det B|
-    of the row-scaled system below.  A pivot on (i, j) is the Bareiss update
+    The tableau B^-1 [A | I], with the basic values x_B as one more
+    column, is held as Python ints T over one common denominator den > 0:
+    the true entry is T[i][j] / den, and den is |det B|.  So the last
+    column is beta = den * x_B.  A pivot on (i, j) is the Bareiss update
     T'[k] = (piv*T[k] - T[k][j]*T[i]) // den, whose division is exact; den
-    then becomes |piv|.  The reduced-cost row rc = den * (c - c_B B^-1 [A | I])
-    is built once per optimisation and rides along as one more row under the
-    same update.
-
-    A row with fractional entries is scaled by the lcm of its denominators,
-    its artificial column included, which leaves B^-1 [A | I] unchanged; den
-    starts at the product of those scales.  An objective is scaled by the
-    lcm of its denominators.  Neither scaling changes the sign of any reduced
-    cost or ratio, so every pivot is the one the rational tableau would make.
+    then becomes |piv|.  Before it, beta is rewritten for the new nonbasic
+    set: the entering column's value is folded in and the leaving column
+    moves to the bound its ratio named.  A bound flip subtracts
+    column * step from beta.  The reduced-cost row rc = den * (c - c_B B^-1
+    [A | I]) is built once per optimisation and rides along as one more
+    row under the same update.  Ratios are compared as integer
+    cross-products, so nothing is ever divided.
 
     phase1 finds a feasible basis or a Farkas certificate; reoptimize then
-    maximizes any number of objectives in turn from the current basis.  The
-    artificial columns are kept for the whole solve; after phase 1 they are
-    fixed to zero, which both blocks re-entry and keeps B^-1 readable off
-    the tableau for the dual and Farkas certificates.
+    maximizes any number of integer objectives in turn from the current
+    basis.  The artificial columns are kept for the whole solve; after
+    phase 1 they are fixed to zero, which both blocks re-entry and keeps
+    B^-1 readable off the tableau for the dual and Farkas certificates.
+    Every certificate is checked on den-scaled integers against the
+    original rows and den * rhs; Fractions appear only in the LpResult.
     """
 
-    def __init__(self, rows: Sequence[Sequence], rhs: Sequence, bounds: Sequence[Tuple]):
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                 bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
         self.rows, self.rhs, self.bounds = rows, rhs, bounds
         self.m = len(rows)
         self.n = len(bounds)
         self.ncols = self.n + self.m
         self.lo = [b[0] for b in bounds] + [0] * self.m
         self.hi = [b[1] for b in bounds] + [None] * self.m
-        self.status = []
-        self.val: List[Fraction] = []  # current value of every column
-        for lo, hi in bounds:
-            if lo is not None:
-                self.status.append(_AT_LOWER)
-                self.val.append(Fraction(lo))
-            elif hi is not None:
-                self.status.append(_AT_UPPER)
-                self.val.append(Fraction(hi))
-            else:
-                self.status.append(_FREE)
-                self.val.append(Fraction(0))
-
-        resid = [
-            Fraction(rhs[i]) - sum(a * v for a, v in zip(rows[i], self.val))
-            for i in range(self.m)
+        self.status = [
+            _AT_LOWER if lo is not None else _AT_UPPER if hi is not None else _FREE
+            for lo, hi in bounds
         ]
-        self.art_sign = [1 if r >= 0 else -1 for r in resid]
-        # tab = den B^-1 [A | S] with B the (signed) artificial columns, so the
-        # artificial block starts as den times the identity.
-        self.den = prod(lcm(*(v.denominator for v in row)) for row in rows)
+        # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
+        # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
+        self.den = 1
+        self.art_sign = []
         self.tab: List[List[int]] = []
         for i in range(self.m):
-            f = self.art_sign[i] * self.den
-            row = [f * v.numerator // v.denominator for v in rows[i]]
-            row += [self.den if k == i else 0 for k in range(self.m)]
+            resid = rhs[i] - sum(a * self._at(j) for j, a in enumerate(rows[i]) if a)
+            sign = 1 if resid >= 0 else -1
+            self.art_sign.append(sign)
+            row = [sign * a for a in rows[i]]
+            row += [1 if k == i else 0 for k in range(self.m)]
+            row.append(abs(resid))
             self.tab.append(row)
         self.rc: List[int] = []
         self.basis = list(range(self.n, self.ncols))
-        for i in range(self.m):
-            self.status.append(_BASIC)
-            self.val.append(abs(resid[i]))
+        self.status += [_BASIC] * self.m
+
+    def _at(self, j: int) -> int:
+        """The value of nonbasic column j: its bound, or 0 when free."""
+        st = self.status[j]
+        if st == _AT_LOWER:
+            return self.lo[j]
+        if st == _AT_UPPER:
+            return self.hi[j]
+        return 0
+
+    def _scaled_values(self) -> List[int]:
+        """den * x for every column."""
+        x = [0 if st == _BASIC else self.den * self._at(j) for j, st in enumerate(self.status)]
+        for k, b in enumerate(self.basis):
+            x[b] = self.tab[k][-1]
+        return x
+
+    def _rational(self, scaled: Sequence[int]) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in scaled)
 
     # -- certificates ------------------------------------------------------
 
-    def _dual(self, cost: Sequence[int], scale: int) -> List[Fraction]:
-        """y = c_B B^-1, read off the artificial block of the tableau, for
-        the integer cost vector scale * c."""
-        div = self.den * scale
+    def _dual(self, cost: Sequence[int]) -> List[int]:
+        """den * y with y = c_B B^-1, read off the artificial block."""
         y = []
         for i in range(self.m):
             col = self.n + i
             num = sum(cost[self.basis[k]] * self.tab[k][col] for k in range(self.m))
-            y.append(Fraction(self.art_sign[i] * num, div))
+            y.append(self.art_sign[i] * num)
         return y
 
-    def _column_dot(self, y: Sequence[Fraction], j: int) -> Fraction:
+    def _column_dot(self, y: Sequence[int], j: int) -> int:
         return sum(y[i] * self.rows[i][j] for i in range(self.m))
 
     # -- core iteration ----------------------------------------------------
@@ -209,14 +167,13 @@ class _Simplex:
         None when the move was a bound flip, or -1 when nothing bounds the
         move (an unbounded direction; the caller decides)."""
         den = self.den
-        col = [self.tab[i][j] for i in range(self.m)]
-        best: Bound = None
-        leave_var = None
-        leave_row = None
-        if dire > 0 and self.hi[j] is not None:
-            best, leave_var = self.hi[j] - self.val[j], j
-        elif dire < 0 and self.lo[j] is not None:
-            best, leave_var = self.val[j] - self.lo[j], j
+        col = [row[j] for row in self.tab]
+        # the step is the least num / q (q > 0) over the bounds that block
+        # it, compared by cross-multiplying; ties go to the lowest column
+        num = q = leave_var = leave_row = None
+        bound = self.hi[j] if dire > 0 else self.lo[j]
+        if bound is not None:
+            num, q, leave_var = dire * (bound - self._at(j)), 1, j
         for i in range(self.m):
             delta = -dire * col[i]  # den times the change of basic i per unit step
             if delta == 0:
@@ -225,33 +182,31 @@ class _Simplex:
             if delta < 0:
                 if self.lo[b] is None:
                     continue
-                theta = (self.val[b] - self.lo[b]) * den / (-delta)
+                t, r = self.tab[i][-1] - den * self.lo[b], -delta
             else:
                 if self.hi[b] is None:
                     continue
-                theta = (self.hi[b] - self.val[b]) * den / delta
-            if best is None or theta < best or (theta == best and b < leave_var):
-                best, leave_var, leave_row = theta, b, i
-        if best is None:
+                t, r = den * self.hi[b] - self.tab[i][-1], delta
+            if num is None or t * q < num * r or (t * q == num * r and b < leave_var):
+                num, q, leave_var, leave_row = t, r, b, i
+        if num is None:
             return -1  # unbounded direction
-        theta = best
-        newval = self.val[j] + dire * theta
-        move = dire * theta / den
-        for i in range(self.m):
-            if col[i]:
-                self.val[self.basis[i]] -= col[i] * move
-        self.val[j] = newval
         if leave_var == j:  # bound flip, basis unchanged
-            if self.status[j] != _FREE:
-                self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
+            step = bound - self._at(j)
+            for row, c in zip(self.tab, col):
+                if c:
+                    row[-1] -= c * step
+            self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
             return None
         i = leave_row
+        v = self._at(j)
+        if v:
+            for row, c in zip(self.tab, col):
+                if c:
+                    row[-1] += c * v
         b = self.basis[i]
-        self.status[b] = (
-            _AT_LOWER
-            if (self.lo[b] is not None and self.val[b] == self.lo[b])
-            else _AT_UPPER
-        )
+        self.status[b] = _AT_LOWER if dire * col[i] > 0 else _AT_UPPER
+        self.tab[i][-1] -= den * self._at(b)
         self.status[j] = _BASIC
         self.basis[i] = j
         self._pivot(i, j)
@@ -294,55 +249,59 @@ class _Simplex:
         out = self._optimize(phase1)
         if out[0] != "optimal":
             raise ArithmeticError("phase 1 cannot be unbounded")
-        infeas = sum(self.val[self.n + i] for i in range(self.m))
-        if infeas > 0:
-            y = self._dual(phase1, 1)
-            farkas = tuple(-v for v in y)
+        x = self._scaled_values()
+        if any(x[self.n :]):
+            farkas = [-v for v in self._dual(phase1)]
             self._check_farkas(farkas)
-            return LpResult(status="infeasible", farkas=farkas)
+            return LpResult(status="infeasible", farkas=self._rational(farkas))
         for i in range(self.m):
             self.hi[self.n + i] = 0
-        point = tuple(self.val[: self.n])
-        self._check_primal(point)
-        return LpResult(status="feasible", point=point)
+        x = x[: self.n]
+        self._check_primal(x)
+        return LpResult(status="feasible", point=self._rational(x))
 
-    def reoptimize(self, objective: Sequence) -> LpResult:
-        """Maximize an objective, ints or Fractions, from the current
-        feasible basis.  Only valid after phase1 reported feasible."""
+    def reoptimize(self, objective: Sequence[int]) -> LpResult:
+        """Maximize an integer objective from the current feasible basis.
+        Only valid after phase1 reported feasible."""
         cost = list(objective) + [0] * self.m
-        scale = lcm(*(c.denominator for c in objective))
-        icost = [c.numerator * (scale // c.denominator) for c in cost]
-        out = self._optimize(icost)
+        out = self._optimize(cost)
         if out[0] == "unbounded":
             _, j, dire = out
-            ray = [Fraction(0)] * self.ncols
-            ray[j] = Fraction(dire)
+            ray = [0] * self.ncols
+            ray[j] = dire * self.den
             for i in range(self.m):
-                ray[self.basis[i]] = Fraction(-dire * self.tab[i][j], self.den)
-            ray = tuple(ray[: self.n])
+                ray[self.basis[i]] = -dire * self.tab[i][j]
+            ray = ray[: self.n]
             self._check_ray(ray, objective)
-            return LpResult(status="unbounded", ray=ray)
-        point = tuple(self.val[: self.n])
-        value = sum(c * v for c, v in zip(objective, point))
-        y = tuple(self._dual(icost, scale))
-        self._check_optimal(point, value, y, cost)
-        return LpResult(status="optimal", value=value, point=point, dual=y)
+            return LpResult(status="unbounded", ray=self._rational(ray))
+        x = self._scaled_values()[: self.n]
+        value = sum(c * v for c, v in zip(objective, x))
+        y = self._dual(cost)
+        self._check_optimal(x, value, y, cost)
+        return LpResult(
+            status="optimal",
+            value=Fraction(value, self.den),
+            point=self._rational(x),
+            dual=self._rational(y),
+        )
 
     # -- verification ------------------------------------------------------
+    # Every argument is den times the true vector, in integers.
 
-    def _check_primal(self, point: Sequence[Fraction]):
+    def _check_primal(self, x: Sequence[int]):
+        den = self.den
         for i in range(self.m):
-            if sum(a * v for a, v in zip(self.rows[i], point)) != self.rhs[i]:
+            if sum(a * v for a, v in zip(self.rows[i], x)) != den * self.rhs[i]:
                 raise ArithmeticError("primal point violates equality row %d" % i)
         for j, (lo, hi) in enumerate(self.bounds):
-            if (lo is not None and point[j] < lo) or (hi is not None and point[j] > hi):
+            if (lo is not None and x[j] < den * lo) or (hi is not None and x[j] > den * hi):
                 raise ArithmeticError("primal point violates bounds on column %d" % j)
 
-    def _check_optimal(self, point, value, y, cost):
-        self._check_primal(point)
+    def _check_optimal(self, x, value, y, cost):
+        self._check_primal(x)
         total = sum(y[i] * self.rhs[i] for i in range(self.m))
         for j in range(self.n):
-            dj = cost[j] - self._column_dot(y, j)
+            dj = self.den * cost[j] - self._column_dot(y, j)
             st = self.status[j]
             fixed = self.lo[j] is not None and self.lo[j] == self.hi[j]
             if st == _BASIC and dj != 0:
@@ -355,13 +314,13 @@ class _Simplex:
                 if st == _FREE and dj != 0:
                     raise ArithmeticError("nonzero reduced cost on a free column")
             if st != _BASIC:
-                total += dj * self.val[j]
+                total += dj * self._at(j)
         if total != value:
             raise ArithmeticError("duality gap in verified optimum")
 
-    def _check_farkas(self, y: Sequence[Fraction]):
+    def _check_farkas(self, y: Sequence[int]):
         """sup over the bound box of y.Ax must fall strictly below y.b."""
-        cap = Fraction(0)
+        cap = 0
         for j in range(self.n):
             g = self._column_dot(y, j)
             if g == 0:
@@ -379,7 +338,7 @@ class _Simplex:
         if not cap < rhs:
             raise ArithmeticError("Farkas certificate failed verification")
 
-    def _check_ray(self, ray: Sequence[Fraction], objective: Sequence):
+    def _check_ray(self, ray: Sequence[int], objective: Sequence[int]):
         for i in range(self.m):
             if sum(a * r for a, r in zip(self.rows[i], ray)) != 0:
                 raise ArithmeticError("unbounded ray leaves the equality space")
@@ -394,35 +353,13 @@ class _Simplex:
 def _bareiss_row(row: List[int], prow: List[int], j: int, piv: int, den: int) -> List[int]:
     """Eliminate column j of row against the pivot row prow:
     (piv*row - row[j]*prow) // den.  By Sylvester's identity every result
-    is, up to sign, a minor of the row-scaled [A | I], so the division is
-    exact."""
+    is, up to sign, a minor of [A | I | r] for the integer vector r whose
+    image beta is, so the division is exact.  The reduced-cost row is one
+    entry shorter than a tableau row, and zip stops at it."""
     f = row[j]
     if f == 0:
         return row if piv == den else [v * piv // den for v in row]
     return [(piv * a - f * b) // den for a, b in zip(row, prow)]
-
-
-def lp_solve(p: LpProblem, sense: str = "max") -> LpResult:
-    """Exact simplex with Bland's rule; certificates are verified internally.
-
-    For sense "min" the problem is solved as max of the negated objective;
-    value and dual are flipped back so the caller sees min-sense numbers.
-    """
-    if sense not in ("max", "min"):
-        raise DomainError("sense must be 'max' or 'min'")
-    obj = p.objective if sense == "max" else tuple(-c for c in p.objective)
-    sx = _Simplex(p.eq_lhs, p.eq_rhs, p.var_bounds)
-    res = sx.phase1()
-    if res.status == "feasible":
-        res = sx.reoptimize(obj)
-    if sense == "min" and res.status == "optimal":
-        return LpResult(
-            status="optimal",
-            value=-res.value,
-            point=res.point,
-            dual=tuple(-y for y in res.dual),
-        )
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -698,23 +635,27 @@ def compare_formulations(
     """Run the same feasibility question through the original system, the
     full substitution (s = n - m, so x follows from the multipliers), and
     one extended formulation per requested s, all built on one kernel basis
-    reduced at LLL's default delta 3/4.  Decided statuses must agree;
-    node-limited rows are reported as-is.
+    reduced at LLL's default delta 3/4.  Each distinct s is searched once:
+    s = n - m is the full substitution, so its row repeats the ahl search.
+    Decided statuses must agree; node-limited rows are reported as-is.
     """
     cfg = cfg or BnbConfig()
     ks = kernel_and_solution(sys.a, sys.b)
     if not ks.feasible:
         raise IntegerInfeasibleError(ks.scale_k, ks.x0)
-    d = sys.n - sys.m
 
-    rows = [_row("original", bnb_feasibility(sys, None, cfg))]
-
-    full = build_extended(sys, split_basis(ks.q, FixedSplit(d)), ks.q, ks.x0)
-    rows.append(_row("ahl", bnb_feasibility(sys, full, cfg)))
-
-    for s in s_values:
+    def search(s: int) -> BnbResult:
         ef = build_extended(sys, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0)
-        rows.append(_row("ext s=%d" % s, bnb_feasibility(sys, ef, cfg)))
+        return bnb_feasibility(sys, ef, cfg)
+
+    d = sys.n - sys.m
+    rows = [_row("original", bnb_feasibility(sys, None, cfg))]
+    done = {d: search(d)}
+    rows.append(_row("ahl", done[d]))
+    for s in s_values:
+        if s not in done:
+            done[s] = search(s)
+        rows.append(_row("ext s=%d" % s, done[s]))
 
     decided = {r.status for r in rows if r.status != "node_limit"}
     if len(decided) > 1:

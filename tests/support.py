@@ -22,6 +22,7 @@ from latref.exact import (
 from latref.knapsack import Decomposition, ValidationError, integer_width
 from latref.lattice import LLLParams, _column_echelon, forward_substitute
 from latref.reformulate import EqualitySystem, ExtendedFormulation
+from latref.solver import LpResult, _Simplex
 
 
 def representable_sieve(a, limit):
@@ -126,6 +127,22 @@ def box_vertices(rows, rhs, box):
                 x[j] = Fraction(laplace_det(swapped)) / d
             if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
                 yield tuple(x)
+
+
+def lp_solve(objective, rows, rhs, bounds, sense="max") -> LpResult:
+    """Optimize an integer objective over {rows x = rhs, bounds} with the
+    library's integer simplex: phase 1, then one reoptimize.  For sense
+    "min" the negated objective is maximized and value and dual are
+    flipped back, so the caller sees min-sense numbers."""
+    sign = 1 if sense == "max" else -1
+    sx = _Simplex(rows, rhs, bounds)
+    res = sx.phase1()
+    if res.status != "feasible":
+        return res
+    res = sx.reoptimize([sign * c for c in objective])
+    if res.status != "optimal":
+        return res
+    return replace(res, value=sign * res.value, dual=tuple(sign * y for y in res.dual))
 
 
 # ---------------------------------------------------------------------------

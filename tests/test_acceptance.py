@@ -18,14 +18,12 @@ import pytest
 
 from latref import (
     BnbConfig,
-    LpProblem,
     bnb_feasibility,
     compare_formulations,
     frobenius_exact,
     frobenius_lower_bound,
     gen_market_split,
     integer_width,
-    lp_solve,
     width_bounds,
 )
 from latref.exact import IntMatrix, mat_mul, mat_vec, transpose
@@ -42,6 +40,7 @@ from support import (
     gram_schmidt,
     hnf_oracle,
     lattice_hnf,
+    lp_solve,
     random_decomposition,
     representable_sieve,
     verify_formulation_equivalence,
@@ -370,7 +369,7 @@ def test_10_projected_range_equality():
                 row[n + k] = -c[i]
             rows_iq.append(tuple(row))
         free = ((None, None),)
-        lp_iq = LpProblem(
+        lp_iq = (
             (0,) * (n + d_free - 1) + (1,),
             tuple(rows_iq),
             tuple(ks.x0),
@@ -381,7 +380,7 @@ def test_10_projected_range_equality():
         rows_p = [
             tuple(ef.p.row(i)) + (-ef.t.data[i][0],) for i in range(ef.p.rows)
         ]
-        lp_p = LpProblem(
+        lp_p = (
             (0,) * n + (1,),
             tuple(rows_p),
             tuple(ef.px0),
@@ -389,8 +388,8 @@ def test_10_projected_range_equality():
         )
 
         for sense in ("max", "min"):
-            r1 = lp_solve(lp_iq, sense)
-            r2 = lp_solve(lp_p, sense)
+            r1 = lp_solve(*lp_iq, sense)
+            r2 = lp_solve(*lp_p, sense)
             if r1.status != r2.status:
                 problems.append("status split %r %s" % (rows, sense))
             elif r1.status == "optimal" and r1.value != r2.value:

@@ -11,14 +11,12 @@ from latref import (
     frobenius_exact,
     frobenius_lower_bound,
     integer_width,
-    lp_solve,
     make_decomposition,
     representable_table,
     width_bounds,
 )
 from latref.exact import RankError
-from latref.solver import LpProblem
-from support import random_decomposition, representable_sieve, width_q_shift_check
+from support import lp_solve, random_decomposition, representable_sieve, width_q_shift_check
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_P1 = (-1, 0, 2, -1, 1)
@@ -82,10 +80,10 @@ def test_width_bounds_lp_oracle():
         rows = (tuple(d.p1) + (-d.m2,), tuple(d.p2) + (d.m1,))
         bounds = tuple((0, None) for _ in range(n)) + ((None, None),)
         obj = (0,) * n + (1,)
-        lp = LpProblem(obj, rows, (d.q1, d.q2), bounds)
+        lp = (obj, rows, (d.q1, d.q2), bounds)
         wa = width_bounds(d)
-        assert lp_solve(lp).value == wa.zbar
-        assert lp_solve(lp, "min").value == wa.zlower
+        assert lp_solve(*lp).value == wa.zbar
+        assert lp_solve(*lp, "min").value == wa.zlower
 
 
 def test_integer_width_fixtures():

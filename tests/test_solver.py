@@ -1,16 +1,17 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latref import (
     BnbConfig,
-    LpProblem,
     bnb_feasibility,
     compare_formulations,
     gen_market_split,
-    lp_solve,
     make_decomposition,
     width_bounds,
 )
@@ -25,7 +26,7 @@ from latref.reformulate import (
     dual_kernel,
     split_basis,
 )
-from support import box_vertices, full_row_rank, random_decomposition
+from support import box_vertices, full_row_rank, lp_solve, random_decomposition
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481
@@ -39,7 +40,7 @@ def scaled_width_lp(d):
     n = len(d.a)
     rows = (tuple(d.p1) + (-d.m2,), tuple(d.p2) + (d.m1,))
     bounds = tuple((0, None) for _ in range(n)) + ((None, None),)
-    return LpProblem((0,) * n + (1,), rows, (d.q1, d.q2), bounds)
+    return (0,) * n + (1,), rows, (d.q1, d.q2), bounds
 
 
 def enumerate_binary_feasible(sys_):
@@ -51,12 +52,12 @@ def enumerate_binary_feasible(sys_):
 
 
 def test_lp_fixed_value():
-    r = lp_solve(LpProblem((1,), ((1,),), (5,), ((0, None),)))
+    r = lp_solve((1,), ((1,),), (5,), ((0, None),))
     assert r.status == "optimal" and r.value == 5
 
 
 def test_lp_infeasible_farkas():
-    r = lp_solve(LpProblem((0,), ((1,),), (-1,), ((0, None),)))
+    r = lp_solve((0,), ((1,),), (-1,), ((0, None),))
     assert r.status == "infeasible"
     y = r.farkas[0]
     # y certifies: y*(row) dominated on x >= 0 yet y*b exceeds it
@@ -64,15 +65,15 @@ def test_lp_infeasible_farkas():
 
 
 def test_lp_unbounded():
-    r = lp_solve(LpProblem((1,), ((0,),), (0,), ((0, None),)))
+    r = lp_solve((1,), ((0,),), (0,), ((0, None),))
     assert r.status == "unbounded"
     assert r.ray is not None
 
 
 def test_lp_bounded_box():
-    p = LpProblem((1, 1, 0), ((1, 1, 1),), (4,), ((0, 3), (0, 3), (0, None)))
-    assert lp_solve(p).value == 4
-    assert lp_solve(p, "min").value == 0
+    lp = ((1, 1, 0), ((1, 1, 1),), (4,), ((0, 3), (0, 3), (0, None)))
+    assert lp_solve(*lp).value == 4
+    assert lp_solve(*lp, "min").value == 0
 
 
 def test_lp_matches_width_closed_form():
@@ -82,104 +83,94 @@ def test_lp_matches_width_closed_form():
         d = random_decomposition(rng)
         lp = scaled_width_lp(d)
         wa = width_bounds(d)
-        assert lp_solve(lp).value == wa.zbar
-        assert lp_solve(lp, "min").value == wa.zlower
+        assert lp_solve(*lp).value == wa.zbar
+        assert lp_solve(*lp, "min").value == wa.zlower
 
 
 def test_lp_cuww1_scaled_polytope():
     d = make_decomposition(CUWW1, (-1, 0, 2, -1, 1), (2, 1, 1, 6, 6), 12225, 12224)
     lp = scaled_width_lp(d)
     wa = width_bounds(d)
-    assert lp_solve(lp).value == wa.zbar
-    assert lp_solve(lp, "min").value == wa.zlower
+    assert lp_solve(*lp).value == wa.zbar
+    assert lp_solve(*lp, "min").value == wa.zlower
 
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def column_sums(p, y):
-    return [dot(y, [row[j] for row in p.eq_lhs]) for j in range(p.ncols)]
+def column_sums(rows, y):
+    return [dot(y, col) for col in zip(*rows)]
 
 
-def assert_box_farkas(p, y):
+def assert_box_farkas(rows, rhs, box, y):
     """On the box, y.A x never reaches y.b."""
-    cap = sum(max(g * lo, g * hi) for g, (lo, hi) in zip(column_sums(p, y), p.var_bounds))
-    assert cap < dot(y, p.eq_rhs)
+    cap = sum(max(g * lo, g * hi) for g, (lo, hi) in zip(column_sums(rows, y), box))
+    assert cap < dot(y, rhs)
 
 
-def assert_box_optimum(p, r, sense, best):
+def assert_box_optimum(obj, rows, rhs, box, r, sense, best):
     assert r.status == "optimal" and r.value == best
-    assert dot(p.objective, r.point) == best
-    for row, b in zip(p.eq_lhs, p.eq_rhs):
+    assert dot(obj, r.point) == best
+    for row, b in zip(rows, rhs):
         assert dot(row, r.point) == b
-    assert all(lo <= v <= hi for v, (lo, hi) in zip(r.point, p.var_bounds))
+    assert all(lo <= v <= hi for v, (lo, hi) in zip(r.point, box))
     # y.b plus the best the reduced costs can add on the box is the optimum
     pick = max if sense == "max" else min
-    red = [c - g for c, g in zip(p.objective, column_sums(p, r.dual))]
-    assert dot(r.dual, p.eq_rhs) + sum(
-        pick(d * lo, d * hi) for d, (lo, hi) in zip(red, p.var_bounds)
+    red = [c - g for c, g in zip(obj, column_sums(rows, r.dual))]
+    assert dot(r.dual, rhs) + sum(
+        pick(d * lo, d * hi) for d, (lo, hi) in zip(red, box)
     ) == best
 
 
-def random_rational(rng, span=6):
-    return F(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 4, 6)))
+@st.composite
+def box_lps(draw):
+    """A full row rank integer system on a finite integer box, with an
+    integer objective."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 5))
+    small = st.integers(-6, 6)
+    rows = draw(
+        st.lists(st.lists(small, min_size=n, max_size=n), min_size=m, max_size=m)
+        .filter(full_row_rank)
+    )
+    box = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 6)), min_size=n, max_size=n))
+    box = tuple((lo, lo + w) for lo, w in box)
+    obj = draw(st.lists(small, min_size=n, max_size=n))
+    rhs = draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m))
+    return tuple(obj), tuple(map(tuple, rows)), tuple(rhs), box
 
 
-def random_box_lp(rng):
-    while True:
-        m = rng.randint(1, 3)
-        n = rng.randint(m + 1, 5)
-        rows = [[random_rational(rng) for _ in range(n)] for _ in range(m)]
-        if not full_row_rank(rows):
-            continue
-        box = []
-        for _ in range(n):
-            lo = random_rational(rng, 3)
-            box.append((lo, lo + F(rng.randint(0, 6), rng.choice((1, 2, 3)))))
-        obj = [random_rational(rng) for _ in range(n)]
-        rhs = [random_rational(rng, 4) for _ in range(m)]
-        return LpProblem(tuple(obj), tuple(map(tuple, rows)), tuple(rhs), tuple(box))
-
-
-def test_lp_rational_box_vs_vertex_enumeration():
-    """Rational rows, rhs, objectives and bounds against the best of all
-    basic feasible points; infeasible draws must carry a Farkas vector."""
-    rng = random.Random(101)
-    seen = set()
-    for _ in range(150):
-        p = random_box_lp(rng)
-        vertices = list(box_vertices(p.eq_lhs, p.eq_rhs, p.var_bounds))
-        for sense in ("max", "min"):
-            r = lp_solve(p, sense)
-            seen.add(r.status)
-            if not vertices:
-                assert r.status == "infeasible"
-                assert_box_farkas(p, r.farkas)
-                continue
-            values = [dot(p.objective, v) for v in vertices]
-            best = max(values) if sense == "max" else min(values)
-            assert_box_optimum(p, r, sense, best)
-    assert seen == {"optimal", "infeasible"}
+@settings(max_examples=150, deadline=None)
+@given(box_lps(), st.sampled_from(("max", "min")))
+def test_lp_rational_box_vs_vertex_enumeration(lp, sense):
+    """The optimum is the best of all basic feasible points, with a dual
+    that proves it; when there is no such point, a Farkas vector."""
+    obj, rows, rhs, box = lp
+    vertices = list(box_vertices(rows, rhs, box))
+    r = lp_solve(obj, rows, rhs, box, sense)
+    if not vertices:
+        assert r.status == "infeasible"
+        assert_box_farkas(rows, rhs, box, r.farkas)
+        return
+    values = [dot(obj, v) for v in vertices]
+    best = max(values) if sense == "max" else min(values)
+    assert_box_optimum(obj, rows, rhs, box, r, sense, best)
 
 
 def test_lp_rational_unbounded_ray():
     # x2 has no lower bound, so x0 and x1 can grow without end
-    p = LpProblem(
-        (1, F(1, 2), 0),
-        ((F(1, 2), F(-2, 3), 1),),
-        (F(5, 4),),
-        ((F(1, 3), None), (0, None), (None, F(7, 2))),
-    )
-    r = lp_solve(p, "max")
+    obj, rows, rhs = (2, 1, 0), ((6, -8, 12),), (15,)
+    box = ((1, None), (0, None), (None, 4))
+    r = lp_solve(obj, rows, rhs, box, "max")
     assert r.status == "unbounded"
-    assert dot(p.eq_lhs[0], r.ray) == 0
-    assert dot(p.objective, r.ray) > 0
-    for v, (lo, hi) in zip(r.ray, p.var_bounds):
+    assert dot(rows[0], r.ray) == 0
+    assert dot(obj, r.ray) > 0
+    for v, (lo, hi) in zip(r.ray, box):
         assert not (v > 0 and hi is not None) and not (v < 0 and lo is not None)
-    low = lp_solve(p, "min")
-    assert low.status == "optimal" and low.value == F(1, 3)
-    assert low.point == (F(1, 3), 0, F(13, 12))
+    low = lp_solve(obj, rows, rhs, box, "min")
+    assert low.status == "optimal" and low.value == 2
+    assert low.point == (1, 0, F(3, 4))
 
 
 def test_lp_negative_pivot(monkeypatch):
@@ -193,14 +184,12 @@ def test_lp_negative_pivot(monkeypatch):
         real(self, i, j)
 
     monkeypatch.setattr(solver._Simplex, "_pivot", spy)
-    p = LpProblem(
-        (F(1, 2), -1), ((F(-1, 2), F(4, 3)),), (0,), ((0, 1), (0, F(1, 3)))
-    )
-    r = lp_solve(p)
+    obj, rows, rhs, box = (1, -2), ((-3, 8),), (0,), ((0, 9), (0, 3))
+    r = lp_solve(obj, rows, rhs, box)
     assert any(signs)
-    assert r.value == F(1, 9) and r.point == (F(8, 9), F(1, 3))
-    values = [dot(p.objective, v) for v in box_vertices(p.eq_lhs, p.eq_rhs, p.var_bounds)]
-    assert_box_optimum(p, r, "max", max(values))
+    assert r.value == 2 and r.point == (8, 3)
+    values = [dot(obj, v) for v in box_vertices(rows, rhs, box)]
+    assert_box_optimum(obj, rows, rhs, box, r, "max", max(values))
 
 
 def test_bnb_cuww1_root_prune():
@@ -261,13 +250,14 @@ def test_bnb_determinism():
 # basis of the same P lattice (LLL settles on one of several when rows tie
 # in norm): phase 1 starts from artificial columns tied to the rows of
 # [P | -T], so a new basis can take another pivot path to the same LP
-# answers.
+# answers.  The ext s=8 row reuses the ahl search (s = n - m = 8), so
+# its pivots count once.
 PINNED_M2 = {
-    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 551),
-    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0), 428),
-    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8), 1040),
-    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 563),
-    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0), 588),
+    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 516),
+    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0), 371),
+    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8), 1005),
+    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 524),
+    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0), 548),
 }
 
 
@@ -309,38 +299,45 @@ def test_bnb_pinned_node_limit_m3(monkeypatch):
 
 @pytest.mark.parametrize("form", ["original", "extended"])
 def test_bnb_lp_values_stay_exact(form, monkeypatch):
-    """Integer rows and bounds go into the simplex as ints; every LP value
-    and point entry it returns must still be a Fraction, never a float."""
+    """Integer rows and bounds go into the simplex as ints.  Its tableau,
+    denominator and basic values stay ints through a whole search, and
+    every LP value and point entry it returns is a Fraction, never a
+    float."""
     results = []
-    points = []
+    tableaus = []
+    real_phase1 = solver._Simplex.phase1
     real = solver._Simplex.reoptimize
-    real_primal = solver._Simplex._check_primal
+
+    def phase1_spy(self):
+        r = real_phase1(self)
+        results.append(r)
+        tableaus.append(self)
+        return r
 
     def spy(self, objective):
         r = real(self, objective)
         results.append(r)
         return r
 
-    def primal_spy(self, point):
-        points.append(point)
-        real_primal(self, point)
-
+    monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
     monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
-    # node points come straight from phase 1 and pass only the primal check
-    monkeypatch.setattr(solver._Simplex, "_check_primal", primal_spy)
     if form == "original":
         bnb_feasibility(gen_market_split(2, 1))
     else:
         sys_ = knapsack_system(CUWW1, CUWW1_F + 1)
         bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
     optimal = [r for r in results if r.status == "optimal"]
-    assert optimal
+    feasible = [r for r in results if r.status == "feasible"]
+    assert optimal and feasible
     for r in optimal:
         assert type(r.value) is F
+    for r in optimal + feasible:
         assert all(type(v) is F for v in r.point)
-    assert len(points) > len(optimal)
-    for point in points:
-        assert all(type(v) is F for v in point)
+    for sx in tableaus:
+        assert type(sx.den) is int and sx.den > 0
+        assert all(type(v) is int for row in sx.tab for v in row)
+        # the last column is beta = den * x_B
+        assert all(len(row) == sx.ncols + 1 for row in sx.tab)
 
 
 def test_bnb_node_lp_is_phase1(monkeypatch):
@@ -411,21 +408,10 @@ def test_bnb_child_lps_stay_feasible_m2(seed, monkeypatch):
 
     monkeypatch.setattr(solver._Simplex, "phase1", spy)
     tab = compare_formulations(gen_market_split(2, seed), (1, 4, 8))
-    assert len(statuses) == sum(r.nodes for r in tab.rows)
+    # ext s=8 is the ahl formulation (s = n - m), whose search runs once
+    searched = [r for r in tab.rows if r.label != "ext s=8"]
+    assert len(statuses) == sum(r.nodes for r in searched)
     assert set(statuses) == {"feasible"}
-
-
-@pytest.mark.parametrize("where", ["objective", "row", "rhs", "bound"])
-def test_lp_problem_rejects_bools(where):
-    parts = {"objective": (1,), "row": ((1,),), "rhs": (1,), "bound": ((0, 1),)}
-    parts[where] = {
-        "objective": (True,),
-        "row": ((True,),),
-        "rhs": (True,),
-        "bound": ((False, 1),),
-    }[where]
-    with pytest.raises(DomainError):
-        LpProblem(parts["objective"], parts["row"], parts["rhs"], parts["bound"])
 
 
 def test_gen_market_split_shape():
@@ -463,6 +449,52 @@ def test_market_split_vs_enumeration():
             assert all(v in (0, 1) for v in r.x)
 
 
+@st.composite
+def bounded_systems(draw):
+    """A full row rank system on a small nonnegative box; half the draws
+    take b from a box point, so both answers come up."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m + 1, 6))
+    rows = draw(
+        st.lists(st.lists(st.integers(-5, 9), min_size=n, max_size=n), min_size=m, max_size=m)
+        .filter(full_row_rank)
+    )
+    upper = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x = [draw(st.integers(0, u)) for u in upper]
+        b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        b = draw(st.lists(st.integers(-10, 40), min_size=m, max_size=m))
+    return EqualitySystem(
+        IntMatrix.from_rows(rows), tuple(b), var_lower=(0,) * n, var_upper=tuple(upper)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_systems())
+def test_bnb_matches_brute_force(sys_):
+    """original, ext s=1 and ahl against every point of the box."""
+    box = itertools.product(*(range(u + 1) for u in sys_.var_upper))
+    points = {x for x in box if mat_vec(sys_.a, x) == tuple(sys_.b)}
+    forms = {"original": None}
+    ks = kernel_and_solution(sys_.a, sys_.b)
+    if ks.feasible:
+        for label, s in (("ext s=1", 1), ("ahl", sys_.n - sys_.m)):
+            forms[label] = build_extended(sys_, split_basis(ks.q, FixedSplit(s)), ks.q, ks.x0)
+    else:
+        assert not points
+    for label, ef in forms.items():
+        r = bnb_feasibility(sys_, ef)
+        assert r.status == ("feasible" if points else "infeasible"), label
+        if not points:
+            continue
+        assert r.x in points, label
+        if ef is not None:
+            assert mat_vec(ef.p, r.x) == tuple(
+                p + t for p, t in zip(ef.px0, mat_vec(ef.t, r.mu))
+            )
+
+
 def test_extended_mu_range_matches_projection():
     """Max/min of the aggregated variable agree between the projected
     two-row form and the full kernel form, on random s=1 knapsacks."""
@@ -486,7 +518,7 @@ def test_extended_mu_range_matches_projection():
         px0 = mat_vec(p, x0)
         bounds = tuple((0, None) for _ in range(n)) + ((None, None),)
         rows_p = [tuple(p.row(i)) + (-t.row(i)[0],) for i in range(p.rows)]
-        lp_p = LpProblem((0,) * n + (1,), tuple(rows_p), px0, bounds)
+        lp_p = ((0,) * n + (1,), tuple(rows_p), px0, bounds)
         r_cols, s_cols = sp.short.col_list(), sp.long.col_list()
         rows_q = [
             tuple(1 if t2 == i else 0 for t2 in range(n))
@@ -497,13 +529,30 @@ def test_extended_mu_range_matches_projection():
         nb = tuple((0, None) for _ in range(n)) + tuple(
             (None, None) for _ in range(1 + len(r_cols))
         )
-        lp_q = LpProblem((0,) * n + (1,) + (0,) * len(r_cols), tuple(rows_q), x0, nb)
+        lp_q = ((0,) * n + (1,) + (0,) * len(r_cols), tuple(rows_q), x0, nb)
         for sense in ("max", "min"):
-            rp = lp_solve(lp_p, sense)
-            rq = lp_solve(lp_q, sense)
+            rp = lp_solve(*lp_p, sense)
+            rq = lp_solve(*lp_q, sense)
             assert rp.status == rq.status
             if rp.status == "optimal":
                 assert rp.value == rq.value
+
+
+def test_compare_formulations_searches_each_s_once(monkeypatch):
+    """ext s=8 is the ahl formulation at m=2 (s = n - m), and a repeated s
+    is the same search: only original, ahl and ext s=1 run."""
+    calls = []
+    real = solver.bnb_feasibility
+
+    def spy(sys_, ef=None, cfg=None):
+        calls.append(None if ef is None else ef.s)
+        return real(sys_, ef, cfg)
+
+    monkeypatch.setattr(solver, "bnb_feasibility", spy)
+    tab = compare_formulations(gen_market_split(2, 1), (8, 1, 8))
+    assert calls == [None, 8, 1]
+    assert [r.label for r in tab.rows] == ["original", "ahl", "ext s=8", "ext s=1", "ext s=8"]
+    assert tab.rows[2] == tab.rows[4] == replace(tab.rows[1], label="ext s=8")
 
 
 def test_compare_formulations_cuww1():
