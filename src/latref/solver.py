@@ -4,10 +4,12 @@ Everything here runs in exact integer arithmetic: the simplex solver keeps
 a dense fraction-free integer tableau over one common denominator
 (Bareiss pivoting), basic values included, and uses Bland's rule, so it
 terminates without tolerances, and every answer carries a certificate
-that is re-verified in integers before it is returned.  Branch and bound
-sits on top of that: phase 1 of the simplex is each node's feasibility
-LP, and two bound probes for the chosen branching variable reoptimize
-from its feasible basis.
+that is re-verified in integers before it is returned.  An LpResult holds
+those integers and their denominator; its Fraction views are built only
+when one of them is read.  Branch and bound sits on top of that and reads
+the integers alone: phase 1 of the simplex is each node's feasibility LP,
+and two bound probes for the chosen branching variable reoptimize from
+its feasible basis.
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
@@ -15,7 +17,7 @@ and "mu0", "mu1", ... for the multipliers of an extended formulation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import DomainError, IntMatrix, mat_vec
@@ -34,22 +36,70 @@ _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class LpResult:
+    """One simplex answer as integers over the tableau's denominator den:
+    the true value is scaled_value / den, and so is every entry of
+    scaled_point, scaled_dual, scaled_farkas and scaled_ray.  The Fraction
+    views value, point, dual, farkas and ray are built when read."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"; "feasible" after phase 1
-    value: Optional[Fraction] = None
-    point: Optional[Tuple[Fraction, ...]] = None
-    dual: Optional[Tuple[Fraction, ...]] = None
-    farkas: Optional[Tuple[Fraction, ...]] = None
-    ray: Optional[Tuple[Fraction, ...]] = None
+    den: int = 1
+    scaled_value: Optional[int] = None
+    scaled_point: Optional[Tuple[int, ...]] = None
+    scaled_dual: Optional[Tuple[int, ...]] = None
+    scaled_farkas: Optional[Tuple[int, ...]] = None
+    scaled_ray: Optional[Tuple[int, ...]] = None
+
+    def _view(self, scaled: Optional[Sequence[int]]) -> Optional[Tuple[Fraction, ...]]:
+        return None if scaled is None else tuple(Fraction(v, self.den) for v in scaled)
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.scaled_value is None else Fraction(self.scaled_value, self.den)
+
+    @property
+    def point(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_point)
+
+    @property
+    def dual(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_dual)
+
+    @property
+    def farkas(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_farkas)
+
+    @property
+    def ray(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_ray)
+
+
+class _LpRows:
+    """The integer rows and rhs of an LP, with what every tableau over them
+    shares: the columns of the rows, which the certificate checks read,
+    and per row i the two signed starting rows [row_i | e_i | 0] and
+    [-row_i | e_i | 0], of which a new tableau copies the one whose sign
+    matches row i's residual."""
+
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+        self.rows, self.rhs = rows, rhs
+        m = len(rows)
+        self.cols = tuple(zip(*rows))
+        self.signed = []
+        for i, row in enumerate(rows):
+            unit = [0] * (m + 1)
+            unit[i] = 1
+            self.signed.append((list(row) + unit, [-a for a in row] + unit))
 
 
 class _Simplex:
     """Bounded-variable two-phase simplex on a fraction-free integer tableau.
 
-    The inputs are integer rows and rhs, and one (lower, upper) pair per
-    column of ints or None.  They are kept as given and the certificate
-    checks read them directly.  A nonbasic column always sits at one of
-    its bounds, or at 0 when it is free, so every nonbasic value is an
-    integer.
+    The inputs are an _LpRows of integer rows and rhs, and one (lower,
+    upper) pair per column of ints or None.  They are kept as given and
+    the certificate checks read them directly.  A nonbasic column always
+    sits at one of its bounds, or at 0 when it is free, so every nonbasic
+    value is an integer; val holds it, and fixed marks the columns with
+    lower == upper, both kept in step with status.
 
     The tableau B^-1 [A | I], with the basic values x_B as one more
     column, is held as Python ints T over one common denominator den > 0:
@@ -70,70 +120,56 @@ class _Simplex:
     phase 1 they are fixed to zero, which both blocks re-entry and keeps
     B^-1 readable off the tableau for the dual and Farkas certificates.
     Every certificate is checked on den-scaled integers against the
-    original rows and den * rhs; Fractions appear only in the LpResult.
+    original rows and den * rhs, and the LpResult carries those integers:
+    a Fraction is built only when one of its views is read.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int],
-                 bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
-        self.rows, self.rhs, self.bounds = rows, rhs, bounds
-        self.m = len(rows)
-        self.n = len(bounds)
-        self.ncols = self.n + self.m
-        self.lo = [b[0] for b in bounds] + [0] * self.m
-        self.hi = [b[1] for b in bounds] + [None] * self.m
+    def __init__(self, lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
+        self.rows, self.rhs, self.cols, self.bounds = lp.rows, lp.rhs, lp.cols, bounds
+        m = self.m = len(lp.rows)
+        n = self.n = len(bounds)
+        self.ncols = n + m
+        self.lo = [b[0] for b in bounds] + [0] * m
+        self.hi = [b[1] for b in bounds] + [None] * m
         self.status = [
             _AT_LOWER if lo is not None else _AT_UPPER if hi is not None else _FREE
             for lo, hi in bounds
-        ]
+        ] + [_BASIC] * m
+        self.val = [
+            lo if lo is not None else hi if hi is not None else 0 for lo, hi in bounds
+        ] + [0] * m
+        self.fixed = [lo is not None and lo == hi for lo, hi in bounds] + [False] * m
         # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
         # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
         self.den = 1
         self.art_sign = []
         self.tab: List[List[int]] = []
-        for i in range(self.m):
-            resid = rhs[i] - sum(a * self._at(j) for j, a in enumerate(rows[i]) if a)
+        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, lp.signed):
+            resid = r - sum(map(mul, row, self.val))
             sign = 1 if resid >= 0 else -1
             self.art_sign.append(sign)
-            row = [sign * a for a in rows[i]]
-            row += [1 if k == i else 0 for k in range(self.m)]
-            row.append(abs(resid))
-            self.tab.append(row)
+            t = list(plus if sign > 0 else minus)
+            t[-1] = sign * resid
+            self.tab.append(t)
         self.rc: List[int] = []
-        self.basis = list(range(self.n, self.ncols))
-        self.status += [_BASIC] * self.m
-
-    def _at(self, j: int) -> int:
-        """The value of nonbasic column j: its bound, or 0 when free."""
-        st = self.status[j]
-        if st == _AT_LOWER:
-            return self.lo[j]
-        if st == _AT_UPPER:
-            return self.hi[j]
-        return 0
+        self.basis = list(range(n, self.ncols))
 
     def _scaled_values(self) -> List[int]:
         """den * x for every column."""
-        x = [0 if st == _BASIC else self.den * self._at(j) for j, st in enumerate(self.status)]
-        for k, b in enumerate(self.basis):
-            x[b] = self.tab[k][-1]
+        den = self.den
+        x = [den * v for v in self.val]
+        for row, b in zip(self.tab, self.basis):
+            x[b] = row[-1]
         return x
-
-    def _rational(self, scaled: Sequence[int]) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in scaled)
-
-    # -- certificates ------------------------------------------------------
 
     def _dual(self, cost: Sequence[int]) -> List[int]:
         """den * y with y = c_B B^-1, read off the artificial block."""
-        y = []
-        for i in range(self.m):
-            col = self.n + i
-            num = sum(cost[self.basis[k]] * self.tab[k][col] for k in range(self.m))
-            y.append(self.art_sign[i] * num)
-        return y
-
-    def _column_dot(self, y: Sequence[int], j: int) -> int:
-        return sum(y[i] * self.rows[i][j] for i in range(self.m))
+        terms = [(cost[b], row) for b, row in zip(self.basis, self.tab) if cost[b]]
+        n = self.n
+        return [
+            sign * sum(c * row[n + i] for c, row in terms)
+            for i, sign in enumerate(self.art_sign)
+        ]
 
     # -- core iteration ----------------------------------------------------
 
@@ -147,68 +183,74 @@ class _Simplex:
         return d
 
     def _entering(self, d: List[int]) -> Optional[Tuple[int, int]]:
-        for j in range(self.ncols):
-            st = self.status[j]
-            if st == _BASIC:
-                continue
-            lo, hi = self.lo[j], self.hi[j]
-            if lo is not None and hi is not None and lo == hi:
-                continue  # fixed column, can never improve
-            if st == _AT_LOWER and d[j] > 0:
-                return j, 1
-            if st == _AT_UPPER and d[j] < 0:
-                return j, -1
-            if st == _FREE and d[j] != 0:
-                return j, (1 if d[j] > 0 else -1)
+        """Bland's rule: the lowest column whose move improves.  Every such
+        column has a nonzero reduced cost."""
+        status, fixed = self.status, self.fixed
+        for j, dj in enumerate(d):
+            if not dj or fixed[j]:
+                continue  # a fixed column can never improve
+            st = status[j]
+            if st == _AT_LOWER:
+                if dj > 0:
+                    return j, 1
+            elif st == _AT_UPPER:
+                if dj < 0:
+                    return j, -1
+            elif st == _FREE:
+                return j, (1 if dj > 0 else -1)
         return None
 
     def _step(self, j: int, dire: int) -> Optional[int]:
         """One ratio-test move for entering column j.  Returns the pivot row,
         None when the move was a bound flip, or -1 when nothing bounds the
         move (an unbounded direction; the caller decides)."""
-        den = self.den
-        col = [row[j] for row in self.tab]
+        den, tab, basis, lo, hi, val = self.den, self.tab, self.basis, self.lo, self.hi, self.val
+        col = [row[j] for row in tab]
         # the step is the least num / q (q > 0) over the bounds that block
         # it, compared by cross-multiplying; ties go to the lowest column
         num = q = leave_var = leave_row = None
-        bound = self.hi[j] if dire > 0 else self.lo[j]
+        bound = hi[j] if dire > 0 else lo[j]
         if bound is not None:
-            num, q, leave_var = dire * (bound - self._at(j)), 1, j
-        for i in range(self.m):
-            delta = -dire * col[i]  # den times the change of basic i per unit step
-            if delta == 0:
+            num, q, leave_var = dire * (bound - val[j]), 1, j
+        for i, c in enumerate(col):
+            if not c:
                 continue
-            b = self.basis[i]
-            if delta < 0:
-                if self.lo[b] is None:
+            b = basis[i]
+            r = dire * c  # den times the fall of basic i per unit step
+            if r > 0:
+                if lo[b] is None:
                     continue
-                t, r = self.tab[i][-1] - den * self.lo[b], -delta
+                t = tab[i][-1] - den * lo[b]
             else:
-                if self.hi[b] is None:
+                if hi[b] is None:
                     continue
-                t, r = den * self.hi[b] - self.tab[i][-1], delta
+                t, r = den * hi[b] - tab[i][-1], -r
             if num is None or t * q < num * r or (t * q == num * r and b < leave_var):
                 num, q, leave_var, leave_row = t, r, b, i
         if num is None:
             return -1  # unbounded direction
         if leave_var == j:  # bound flip, basis unchanged
-            step = bound - self._at(j)
-            for row, c in zip(self.tab, col):
+            step = bound - val[j]
+            for row, c in zip(tab, col):
                 if c:
                     row[-1] -= c * step
             self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
+            val[j] = bound
             return None
         i = leave_row
-        v = self._at(j)
+        v = val[j]
         if v:
-            for row, c in zip(self.tab, col):
+            for row, c in zip(tab, col):
                 if c:
                     row[-1] += c * v
-        b = self.basis[i]
-        self.status[b] = _AT_LOWER if dire * col[i] > 0 else _AT_UPPER
-        self.tab[i][-1] -= den * self._at(b)
-        self.status[j] = _BASIC
-        self.basis[i] = j
+        b = basis[i]
+        if dire * col[i] > 0:
+            self.status[b], val[b] = _AT_LOWER, lo[b]
+        else:
+            self.status[b], val[b] = _AT_UPPER, hi[b]
+        tab[i][-1] -= den * val[b]
+        self.status[j], val[j] = _BASIC, 0
+        basis[i] = j
         self._pivot(i, j)
         return i
 
@@ -219,10 +261,10 @@ class _Simplex:
         if piv < 0:  # negating the pivot row negates the whole update
             prow = self.tab[i] = [-v for v in prow]
             piv = -piv
-        den = self.den
-        for k in range(self.m):
+        den, tab = self.den, self.tab
+        for k, row in enumerate(tab):
             if k != i:
-                self.tab[k] = _bareiss_row(self.tab[k], prow, j, piv, den)
+                tab[k] = _bareiss_row(row, prow, j, piv, den)
         self.rc = _bareiss_row(self.rc, prow, j, piv, den)
         self.den = piv
 
@@ -251,14 +293,15 @@ class _Simplex:
             raise ArithmeticError("phase 1 cannot be unbounded")
         x = self._scaled_values()
         if any(x[self.n :]):
-            farkas = [-v for v in self._dual(phase1)]
+            farkas = tuple(-v for v in self._dual(phase1))
             self._check_farkas(farkas)
-            return LpResult(status="infeasible", farkas=self._rational(farkas))
-        for i in range(self.m):
-            self.hi[self.n + i] = 0
-        x = x[: self.n]
+            return LpResult(status="infeasible", den=self.den, scaled_farkas=farkas)
+        for k in range(self.n, self.ncols):
+            self.hi[k] = 0
+            self.fixed[k] = True
+        x = tuple(x[: self.n])
         self._check_primal(x)
-        return LpResult(status="feasible", point=self._rational(x))
+        return LpResult(status="feasible", den=self.den, scaled_point=x)
 
     def reoptimize(self, objective: Sequence[int]) -> LpResult:
         """Maximize an integer objective from the current feasible basis.
@@ -271,18 +314,15 @@ class _Simplex:
             ray[j] = dire * self.den
             for i in range(self.m):
                 ray[self.basis[i]] = -dire * self.tab[i][j]
-            ray = ray[: self.n]
+            ray = tuple(ray[: self.n])
             self._check_ray(ray, objective)
-            return LpResult(status="unbounded", ray=self._rational(ray))
-        x = self._scaled_values()[: self.n]
-        value = sum(c * v for c, v in zip(objective, x))
-        y = self._dual(cost)
+            return LpResult(status="unbounded", den=self.den, scaled_ray=ray)
+        x = tuple(self._scaled_values()[: self.n])
+        value = sum(map(mul, objective, x))
+        y = tuple(self._dual(cost))
         self._check_optimal(x, value, y, cost)
         return LpResult(
-            status="optimal",
-            value=Fraction(value, self.den),
-            point=self._rational(x),
-            dual=self._rational(y),
+            status="optimal", den=self.den, scaled_value=value, scaled_point=x, scaled_dual=y
         )
 
     # -- verification ------------------------------------------------------
@@ -290,42 +330,41 @@ class _Simplex:
 
     def _check_primal(self, x: Sequence[int]):
         den = self.den
-        for i in range(self.m):
-            if sum(a * v for a, v in zip(self.rows[i], x)) != den * self.rhs[i]:
+        for i, (row, r) in enumerate(zip(self.rows, self.rhs)):
+            if sum(map(mul, row, x)) != den * r:
                 raise ArithmeticError("primal point violates equality row %d" % i)
-        for j, (lo, hi) in enumerate(self.bounds):
-            if (lo is not None and x[j] < den * lo) or (hi is not None and x[j] > den * hi):
+        for j, (v, (lo, hi)) in enumerate(zip(x, self.bounds)):
+            if (lo is not None and v < den * lo) or (hi is not None and v > den * hi):
                 raise ArithmeticError("primal point violates bounds on column %d" % j)
 
     def _check_optimal(self, x, value, y, cost):
         self._check_primal(x)
-        total = sum(y[i] * self.rhs[i] for i in range(self.m))
-        for j in range(self.n):
-            dj = self.den * cost[j] - self._column_dot(y, j)
-            st = self.status[j]
-            fixed = self.lo[j] is not None and self.lo[j] == self.hi[j]
-            if st == _BASIC and dj != 0:
-                raise ArithmeticError("nonzero reduced cost on a basic column")
-            if not fixed:
+        den, status, fixed, val = self.den, self.status, self.fixed, self.val
+        total = sum(map(mul, y, self.rhs))
+        for j, col in enumerate(self.cols):
+            dj = den * cost[j] - sum(map(mul, y, col))
+            st = status[j]
+            if st == _BASIC:
+                if dj != 0:
+                    raise ArithmeticError("nonzero reduced cost on a basic column")
+            elif not fixed[j]:
                 if st == _AT_LOWER and dj > 0:
                     raise ArithmeticError("improving column left at lower bound")
                 if st == _AT_UPPER and dj < 0:
                     raise ArithmeticError("improving column left at upper bound")
                 if st == _FREE and dj != 0:
                     raise ArithmeticError("nonzero reduced cost on a free column")
-            if st != _BASIC:
-                total += dj * self._at(j)
+            total += dj * val[j]  # val is 0 on a basic column
         if total != value:
             raise ArithmeticError("duality gap in verified optimum")
 
     def _check_farkas(self, y: Sequence[int]):
         """sup over the bound box of y.Ax must fall strictly below y.b."""
         cap = 0
-        for j in range(self.n):
-            g = self._column_dot(y, j)
+        for col, (lo, hi) in zip(self.cols, self.bounds):
+            g = sum(map(mul, y, col))
             if g == 0:
                 continue
-            lo, hi = self.bounds[j]
             if g > 0:
                 if hi is None:
                     raise ArithmeticError("Farkas vector unbounded above")
@@ -334,19 +373,17 @@ class _Simplex:
                 if lo is None:
                     raise ArithmeticError("Farkas vector unbounded below")
                 cap += g * lo
-        rhs = sum(y[i] * self.rhs[i] for i in range(self.m))
-        if not cap < rhs:
+        if not cap < sum(map(mul, y, self.rhs)):
             raise ArithmeticError("Farkas certificate failed verification")
 
     def _check_ray(self, ray: Sequence[int], objective: Sequence[int]):
-        for i in range(self.m):
-            if sum(a * r for a, r in zip(self.rows[i], ray)) != 0:
+        for row in self.rows:
+            if sum(map(mul, row, ray)) != 0:
                 raise ArithmeticError("unbounded ray leaves the equality space")
-        gain = sum(c * r for c, r in zip(objective, ray))
-        if not gain > 0:
+        if not sum(map(mul, objective, ray)) > 0:
             raise ArithmeticError("unbounded ray does not improve the objective")
-        for j, (lo, hi) in enumerate(self.bounds):
-            if (ray[j] > 0 and hi is not None) or (ray[j] < 0 and lo is not None):
+        for r, (lo, hi) in zip(ray, self.bounds):
+            if (r > 0 and hi is not None) or (r < 0 and lo is not None):
                 raise ArithmeticError("unbounded ray escapes a finite bound")
 
 
@@ -360,6 +397,7 @@ def _bareiss_row(row: List[int], prow: List[int], j: int, piv: int, den: int) ->
     if f == 0:
         return row if piv == den else [v * piv // den for v in row]
     return [(piv * a - f * b) // den for a, b in zip(row, prow)]
+
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +434,10 @@ class _BnbSpace:
     """Column layout, base bounds and integer re-verification for one run.
 
     The LP data stay the integers they arrive as: rows and rhs are A and b,
-    or [P | -T] and P x0, and every bound is an int or None.  Absent x
-    bounds default to the nonnegative orthant, the native domain of every
-    problem treated here; the mu columns are free.
+    or [P | -T] and P x0, and every bound is an int or None.  They are
+    wrapped once per run in the _LpRows that every node's tableau starts
+    from.  Absent x bounds default to the nonnegative orthant, the native
+    domain of every problem treated here; the mu columns are free.
     """
 
     def __init__(self, sys: EqualitySystem, ef: Optional[ExtendedFormulation]):
@@ -411,15 +450,14 @@ class _BnbSpace:
         xnames = ["x%d" % j for j in range(n)]
         if ef is None:
             self.names = xnames
-            self.rows = sys.a.data
-            self.rhs = sys.b
+            self.lp = _LpRows(sys.a.data, sys.b)
             self.base = self.xbounds
         else:
             self.names = xnames + ["mu%d" % j for j in range(ef.s)]
-            self.rows = tuple(
+            rows = tuple(
                 ef.p.row(i) + tuple(-v for v in ef.t.row(i)) for i in range(ef.p.rows)
             )
-            self.rhs = ef.px0
+            self.lp = _LpRows(rows, ef.px0)
             self.base = self.xbounds + [(None, None)] * ef.s
         self.index = {name: j for j, name in enumerate(self.names)}
 
@@ -430,12 +468,14 @@ class _BnbSpace:
         xs = ["x%d" % j for j in range(self.sys.n)]
         return tuple(mus + xs)
 
-    def verify_integral(self, point: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
-        ints = []
-        for v in point:
-            if v.denominator != 1:
-                raise ArithmeticError("claimed integral point has a fraction")
-            ints.append(int(v))
+    def verify_integral(
+        self, scaled: Sequence[int], den: int
+    ) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
+        """The integer point scaled / den, checked against the system, its
+        bounds and, for an extended formulation, P x = P x0 + T mu."""
+        if any(v % den for v in scaled):
+            raise ArithmeticError("claimed integral point has a fraction")
+        ints = [v // den for v in scaled]
         x = tuple(ints[: self.sys.n])
         if mat_vec(self.sys.a, x) != tuple(self.sys.b):
             raise ArithmeticError("integer certificate violates A x = b")
@@ -475,8 +515,10 @@ def bnb_feasibility(
 ) -> BnbResult:
     """Depth-first feasibility search; every variable is integer-constrained.
 
-    The LP rows are built once per run; a node differs from the root only in
-    its integer bounds.  Each node's feasibility LP is simplex phase 1.  If
+    The LP rows, their columns and the signed starting tableau rows are
+    built once per run; a node differs from the root only in its integer
+    bounds, and the search reads the den-scaled integers of each LpResult,
+    never a Fraction.  Each node's feasibility LP is simplex phase 1.  If
     its point is fractional on some priority variable, that variable's
     exact integer range inside the node is probed by maximizing and
     minimizing it from the same basis (charged to the same node); an empty
@@ -495,7 +537,7 @@ def bnb_feasibility(
     prio_cols = [space.index[name] for name in priority]
     # names never listed still need integrality; scan them after the list
     listed = set(prio_cols)
-    trailing = [j for j in range(len(space.names)) if j not in listed]
+    order = prio_cols + [j for j in range(len(space.names)) if j not in listed]
 
     stack: List[Tuple[int, Dict[int, IntBounds]]] = [(0, {})]
     nodes = 0
@@ -509,18 +551,16 @@ def bnb_feasibility(
         bounds = list(space.base)
         for j, bb in over.items():
             bounds[j] = bb
-        sx = _Simplex(space.rows, space.rhs, bounds)
+        sx = _Simplex(space.lp, bounds)
         res = sx.phase1()
         if res.status == "infeasible":
             continue
-        point = res.point
-        branch = None
-        for j in prio_cols + trailing:
-            if point[j].denominator != 1:
-                branch = j
-                break
+        # the LP point is point[j] / den; every floor and ceiling below is
+        # integer floor division
+        den, point = res.den, res.scaled_point
+        branch = next((j for j in order if point[j] % den), None)
         if branch is None:
-            x, mu = space.verify_integral(point)
+            x, mu = space.verify_integral(point, den)
             return BnbResult(
                 status="feasible", nodes=nodes, proof_depth=depth, x=x, mu=mu
             )
@@ -533,15 +573,15 @@ def bnb_feasibility(
         ej[branch] = -1
         lo_lp = sx.reoptimize(ej)
         probe = (
-            ceil(-lo_lp.value) if lo_lp.status == "optimal" else None,
-            floor(hi_lp.value) if hi_lp.status == "optimal" else None,
+            -(lo_lp.scaled_value // lo_lp.den) if lo_lp.status == "optimal" else None,
+            hi_lp.scaled_value // hi_lp.den if hi_lp.status == "optimal" else None,
         )
         rng = _meet(bounds[branch], probe)
         if rng is None:
             continue  # no integer value available for this variable
         v = point[branch]
         # floor child pushed last: popped first
-        for child_bounds in (_meet(rng, (ceil(v), None)), _meet(rng, (None, floor(v)))):
+        for child_bounds in (_meet(rng, (-(-v // den), None)), _meet(rng, (None, v // den))):
             if child_bounds is not None:
                 child = dict(over)
                 child[branch] = child_bounds

@@ -22,7 +22,7 @@ from latref.exact import (
 from latref.knapsack import Decomposition, ValidationError, integer_width
 from latref.lattice import LLLParams, _column_echelon, forward_substitute
 from latref.reformulate import EqualitySystem, ExtendedFormulation
-from latref.solver import LpResult, _Simplex
+from latref.solver import LpResult, _LpRows, _Simplex
 
 
 def representable_sieve(a, limit):
@@ -135,14 +135,18 @@ def lp_solve(objective, rows, rhs, bounds, sense="max") -> LpResult:
     "min" the negated objective is maximized and value and dual are
     flipped back, so the caller sees min-sense numbers."""
     sign = 1 if sense == "max" else -1
-    sx = _Simplex(rows, rhs, bounds)
+    sx = _Simplex(_LpRows(rows, rhs), bounds)
     res = sx.phase1()
     if res.status != "feasible":
         return res
     res = sx.reoptimize([sign * c for c in objective])
     if res.status != "optimal":
         return res
-    return replace(res, value=sign * res.value, dual=tuple(sign * y for y in res.dual))
+    return replace(
+        res,
+        scaled_value=sign * res.scaled_value,
+        scaled_dual=tuple(sign * y for y in res.scaled_dual),
+    )
 
 
 # ---------------------------------------------------------------------------

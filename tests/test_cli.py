@@ -1,8 +1,11 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latref.cli import (
     EXIT_INFEASIBLE,
@@ -19,7 +22,7 @@ from latref.cli import (
 from latref import lattice
 from latref.exact import DomainError, IntMatrix
 from latref.reformulate import EqualitySystem, IntegralityError
-from support import lattice_hnf
+from support import full_row_rank, lattice_hnf
 
 CUWW1_TEXT = "1 5\n12223 12224 36674 61119 85569\n89643481\n"
 TWOROW_TEXT = "2 5\n1 -5 -4 11 5\n-13 -2 -12 -11 1\n8 -37\n"
@@ -128,6 +131,60 @@ def test_round_trip_random():
                 continue
             break
         assert parse_instance(emit_instance(sys_)) == sys_
+
+
+@st.composite
+def instance_systems(draw):
+    """A full row rank system with small or 40-digit entries and either
+    no bounds, `binary`, or uniform bounds L <= U."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+        .filter(full_row_rank)
+    )
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(("none", "binary", "uniform")))
+    bounds = {}
+    if kind == "binary":
+        bounds = dict(var_lower=(0,) * n, var_upper=(1,) * n)
+    elif kind == "uniform":
+        lo = draw(st.integers(-50, 50))
+        hi = lo + draw(st.integers(0, 50))
+        bounds = dict(var_lower=(lo,) * n, var_upper=(hi,) * n)
+    return EqualitySystem(IntMatrix.from_rows(rows), tuple(b), **bounds)
+
+
+# any run of non-space characters that is neither an integer nor a keyword
+bad_tokens = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+    min_size=1,
+    max_size=6,
+).filter(lambda t: not re.fullmatch(r"[+-]?\d+", t) and t not in ("binary", "bounds"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance_systems())
+def test_round_trip_property(sys_):
+    assert parse_instance(emit_instance(sys_)) == sys_
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_systems(), st.data())
+def test_fuzzed_token_reports_its_position(sys_, data):
+    """One token of an emitted file replaced by garbage, after a few blank
+    or comment lines: the ParseError names that token's line and column."""
+    lead = data.draw(st.lists(st.sampled_from(("", "# note", "   ")), max_size=3))
+    lines = [line.split(" ") for line in emit_instance(sys_).splitlines()]
+    li = data.draw(st.integers(0, len(lines) - 1))
+    ti = data.draw(st.integers(0, len(lines[li]) - 1))
+    column = 1 + sum(len(tok) + 1 for tok in lines[li][:ti])
+    lines[li][ti] = data.draw(bad_tokens)
+    text = "\n".join(lead + [" ".join(toks) for toks in lines]) + "\n"
+    with pytest.raises(ParseError) as ei:
+        parse_instance(text)
+    assert (ei.value.line, ei.value.column) == (len(lead) + li + 1, column)
 
 
 def test_emit_rejects_ragged_bounds():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latref.exact import IntMatrix, RankError, identity, mat_vec, norm_sq, transpose
@@ -19,6 +19,7 @@ from latref.solver import gen_market_split
 from support import (
     IntegerSolver,
     det,
+    full_row_rank,
     hnf_oracle,
     is_lll_reduced,
     lattice_hnf,
@@ -305,6 +306,46 @@ def test_kernel_strategies_cross_check():
             for c in ks.q.col_list():
                 assert mat_vec(a, c) == (0,) * m
             assert mat_vec(a, ks.x0) == tuple(ks.scale_k * e for e in b)
+
+
+huge_entries = st.builds(
+    lambda sign, v: sign * v, st.sampled_from((-1, 1)), st.integers(10**30, 10**36)
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A full row rank A with m <= n <= 6 (m = n included), small entries
+    mixed with at least one of magnitude 10^30 or more, and some rows
+    negated whole; b is small or huge too."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    entry = st.one_of(st.integers(-9, 9), huge_entries)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(huge_entries)
+    flips = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rows = [[-v for v in row] if flip else row for row, flip in zip(rows, flips)]
+    assume(full_row_rank(rows))
+    b = draw(st.lists(st.one_of(st.integers(-50, 50), huge_entries), min_size=m, max_size=m))
+    return IntMatrix.from_rows(rows, cols=n), tuple(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_inputs())
+@example((IntMatrix.from_rows([(10**30, 10**30 + 1), (-7, 3)]), (10**31, 5)))
+def test_kernel_and_solution_property(case):
+    """A x0 = scale_k b, A Q = 0 with n - m columns, and the same kernel
+    lattice and scale_k as the HNF strategy, which serves as the oracle."""
+    a, b = case
+    m, n = a.rows, a.cols
+    ks = kernel_and_solution(a, b)
+    assert (ks.q.rows, ks.q.cols) == (n, n - m)
+    assert mat_vec(a, ks.x0) == tuple(ks.scale_k * e for e in b)
+    for c in ks.q.col_list():
+        assert mat_vec(a, c) == (0,) * m
+    oracle = kernel_and_solution(a, b, strategy="hnf")
+    assert (ks.feasible, ks.scale_k) == (oracle.feasible, oracle.scale_k)
+    assert lattice_hnf(ks.q).data == lattice_hnf(oracle.q).data
 
 
 def test_forward_substitute():

@@ -414,6 +414,56 @@ def test_bnb_child_lps_stay_feasible_m2(seed, monkeypatch):
     assert set(statuses) == {"feasible"}
 
 
+class NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("branch and bound built a Fraction")
+
+
+def test_bnb_builds_no_fraction(monkeypatch):
+    """A search reads the simplex's integers alone: with every Fraction in
+    latref.solver made to raise, the pinned searches still end the same."""
+    monkeypatch.setattr(solver, "Fraction", NoFraction)
+    r = bnb_feasibility(gen_market_split(2, 1))
+    assert (r.status, r.nodes) == ("infeasible", 89)
+    r = bnb_feasibility(gen_market_split(3, 1), None, BnbConfig(node_limit=100))
+    assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
+    sys_ = knapsack_system(CUWW1, CUWW1_F + 1)
+    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+    assert r.status == "feasible" and sum(a * x for a, x in zip(CUWW1, r.x)) == CUWW1_F + 1
+
+
+def test_bnb_checks_every_certificate(monkeypatch):
+    """Each feasible phase 1 is primal-checked, and each of a branching
+    node's two probes gets its optimality or ray check, which primal-checks
+    its own point too."""
+    counts = {"feasible": 0, "_check_primal": 0, "_check_optimal": 0, "_check_ray": 0}
+    real_phase1 = solver._Simplex.phase1
+
+    def phase1_spy(self):
+        r = real_phase1(self)
+        counts["feasible"] += r.status == "feasible"
+        return r
+
+    def counting(name):
+        real = getattr(solver._Simplex, name)
+
+        def spy(self, *args):
+            counts[name] += 1
+            return real(self, *args)
+
+        return spy
+
+    monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
+    for name in ("_check_primal", "_check_optimal", "_check_ray"):
+        monkeypatch.setattr(solver._Simplex, name, counting(name))
+    r = bnb_feasibility(gen_market_split(2, 1))
+    # no integer point was found, so every LP-feasible node branched
+    assert (r.status, r.nodes, counts["feasible"]) == ("infeasible", 89, 89)
+    probes = counts["_check_optimal"] + counts["_check_ray"]
+    assert probes == 2 * 89
+    assert counts["_check_primal"] == 89 + counts["_check_optimal"]
+
+
 def test_gen_market_split_shape():
     ms = gen_market_split(3, 9)
     assert ms.m == 3 and ms.n == 20
