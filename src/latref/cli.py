@@ -470,8 +470,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built by the first main call and reused by every later one; argparse reads
+# COLUMNS when it formats a message, not when the parser is built
+_PARSER: Optional[_Parser] = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)

@@ -4,7 +4,10 @@ Everything here runs in exact integer arithmetic: the simplex solver keeps
 a dense fraction-free integer tableau over one common denominator
 (Bareiss pivoting), basic values included, and uses Bland's rule, so it
 terminates without tolerances, and every answer carries a certificate
-that is re-verified in integers before it is returned.  An LpResult holds
+that is re-verified in integers before it is returned.  Each tableau row
+is packed into one Python int at a slot width derived from Hadamard's
+bound (Kronecker substitution), so a row update is one big-integer
+expression instead of a loop over its entries.  An LpResult holds
 those integers and their denominator; its Fraction views are built only
 when one of them is read.  Branch and bound sits on top of that and reads
 the integers alone: phase 1 of the simplex is each node's feasibility LP,
@@ -75,44 +78,90 @@ class LpResult:
 
 class _LpRows:
     """The integer rows and rhs of an LP, with what every tableau over them
-    shares: the columns of the rows, which the certificate checks read,
-    and per row i the two signed starting rows [row_i | e_i | 0] and
-    [-row_i | e_i | 0], of which a new tableau copies the one whose sign
-    matches row i's residual."""
+    shares: the columns of the rows, which the certificate checks read; per
+    row |row_i| and ||row_i||^2 + 1, from which a tableau derives its slot
+    width; and, per slot width, the packed starting rows (see layout)."""
 
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
         self.rows, self.rhs = rows, rhs
-        m = len(rows)
         self.cols = tuple(zip(*rows))
-        self.signed = []
-        for i, row in enumerate(rows):
-            unit = [0] * (m + 1)
-            unit[i] = 1
-            self.signed.append((list(row) + unit, [-a for a in row] + unit))
+        self.abs_rows = [[abs(a) for a in row] for row in rows]
+        self.norms = [sum(a * a for a in row) + 1 for row in rows]
+        self._layouts: Dict[int, Tuple[List[Tuple[int, int]], int]] = {}
+
+    def layout(self, w: int) -> Tuple[List[Tuple[int, int]], int]:
+        """(starts, offset) at slot width w.  starts holds per row i the two
+        signed starting rows [0 | row_i | e_i] and [0 | -row_i | e_i],
+        packed; a new tableau takes the one whose sign matches row i's
+        residual and adds the residual's size into slot 0.  offset holds
+        half a slot in every slot of a row, which makes each slot
+        nonnegative for decoding.  Both are built once per run and width."""
+        lay = self._layouts.get(w)
+        if lay is None:
+            m, n = len(self.rows), len(self.cols)
+            starts = []
+            for i, row in enumerate(self.rows):
+                unit = 1 << (w * (n + 1 + i))
+                plus = _pack((0,) + tuple(row), w)
+                starts.append((plus + unit, unit - plus))
+            offset = _pack([1 << (w - 1)] * (n + m + 1), w)
+            lay = self._layouts[w] = (starts, offset)
+        return lay
+
+
+def _pack(values: Sequence[int], w: int) -> int:
+    """The one int sum(v_k * 2^(w k)) that holds values[k] in slot k; every
+    |v_k| must be below 2^(w-1)."""
+    p = 0
+    for k, v in enumerate(values):
+        if v:
+            p += v << (w * k)
+    return p
+
+
+def _width(bound_sq: int) -> int:
+    """Slot width for integers of size at most sqrt(bound_sq): their bit
+    length plus a sign bit."""
+    return (bound_sq.bit_length() + 1) // 2 + 1
 
 
 class _Simplex:
     """Bounded-variable two-phase simplex on a fraction-free integer tableau.
 
     The inputs are an _LpRows of integer rows and rhs, and one (lower,
-    upper) pair per column of ints or None.  They are kept as given and
+    upper) pair per column of ints or None, lower <= upper when both are
+    ints.  They are kept as given and
     the certificate checks read them directly.  A nonbasic column always
     sits at one of its bounds, or at 0 when it is free, so every nonbasic
     value is an integer; val holds it, and fixed marks the columns with
     lower == upper, both kept in step with status.
 
     The tableau B^-1 [A | I], with the basic values x_B as one more
-    column, is held as Python ints T over one common denominator den > 0:
-    the true entry is T[i][j] / den, and den is |det B|.  So the last
-    column is beta = den * x_B.  A pivot on (i, j) is the Bareiss update
-    T'[k] = (piv*T[k] - T[k][j]*T[i]) // den, whose division is exact; den
-    then becomes |piv|.  Before it, beta is rewritten for the new nonbasic
-    set: the entering column's value is folded in and the leaving column
-    moves to the bound its ratio named.  A bound flip subtracts
-    column * step from beta.  The reduced-cost row rc = den * (c - c_B B^-1
-    [A | I]) is built once per optimisation and rides along as one more
-    row under the same update.  Ratios are compared as integer
-    cross-products, so nothing is ever divided.
+    column, is held in integers over one common denominator den > 0: the
+    true entry is T[i][j] / den, and den is |det B|.  So the extra column
+    is beta = den * x_B.  Each row is one Python int, the value at X = 2^w
+    of the polynomial whose coefficients are the row: slot 0 holds beta
+    and slot j + 1 holds column j, each a signed w-bit integer.  Every
+    entry is, up to sign, an m x m minor of [A | S | r], where S holds the
+    artificial columns and r is a residual b - A x_N, so by Hadamard's
+    bound it is at most H = prod_i ||(a_i, 1, R_i)||, with R_i = |b_i| +
+    sum_j |a_ij| max(|lo_j|, |hi_j|) over the finite bounds.  The
+    reduced-cost row rc = den * (c - c_B B^-1 [A | I]) is packed the same
+    way with slot 0 kept at zero; its entries are (m+1)-minors that take in
+    the cost row, at most H ||c||.  So w = bitlength(H max(1, ||c||)) + 1
+    holds every decoded value; reoptimize widens the tableau when an
+    objective needs more.  Values in between, such as piv*row, need not fit
+    a slot: the packed identities are exact for any integers.
+
+    A pivot on (i, j) is the Bareiss update T'[k] = (piv*T[k] -
+    T[k][j]*T[i]) // den, one big-integer expression per row, whose
+    division is exact in every slot; den then becomes |piv|.  Before it,
+    beta is rewritten for the new nonbasic set: the entering column's value
+    is folded in and the leaving column moves to the bound its ratio
+    named, each one addition to the packed row.  A bound flip subtracts
+    column * step from beta the same way.  rc is built once per
+    optimisation and rides along under the same update.  Ratios are
+    compared as integer cross-products, so nothing is ever divided.
 
     phase1 finds a feasible basis or a Farkas certificate; reoptimize then
     maximizes any number of integer objectives in turn from the current
@@ -125,6 +174,7 @@ class _Simplex:
     """
 
     def __init__(self, lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
+        self.lp = lp
         self.rows, self.rhs, self.cols, self.bounds = lp.rows, lp.rhs, lp.cols, bounds
         m = self.m = len(lp.rows)
         n = self.n = len(bounds)
@@ -139,64 +189,124 @@ class _Simplex:
             lo if lo is not None else hi if hi is not None else 0 for lo, hi in bounds
         ] + [0] * m
         self.fixed = [lo is not None and lo == hi for lo, hi in bounds] + [False] * m
+        # H^2 by Hadamard, from the largest residual each row can reach;
+        # reach is max(|lo|, |hi|) over the finite bounds, as lo <= hi
+        reach = [
+            (hi if hi >= -lo else -lo) if lo is not None and hi is not None else abs(lo or hi or 0)
+            for lo, hi in bounds
+        ]
+        h_sq = 1
+        for absrow, norm, r in zip(lp.abs_rows, lp.norms, lp.rhs):
+            resid = abs(r) + sum(map(mul, absrow, reach))
+            h_sq *= norm + resid * resid
+        self.h_sq = h_sq
+        # the slots hold reduced costs of any cost vector c with ||c||^2 <=
+        # cost_sq; the phase 1 cost has ||c||^2 = m
+        self.cost_sq = max(1, m)
+        self._set_width(_width(h_sq * self.cost_sq))
         # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
         # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
         self.den = 1
         self.art_sign = []
-        self.tab: List[List[int]] = []
-        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, lp.signed):
+        self.tab: List[int] = []
+        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, self.starts):
             resid = r - sum(map(mul, row, self.val))
-            sign = 1 if resid >= 0 else -1
-            self.art_sign.append(sign)
-            t = list(plus if sign > 0 else minus)
-            t[-1] = sign * resid
-            self.tab.append(t)
-        self.rc: List[int] = []
+            if resid >= 0:
+                self.art_sign.append(1)
+                self.tab.append(plus + resid)
+            else:
+                self.art_sign.append(-1)
+                self.tab.append(minus - resid)
+        self.rc = 0
+        self.col: List[int] = []  # the entering column: _step reads it, _pivot uses it
         self.basis = list(range(n, self.ncols))
+
+    def _set_width(self, w: int):
+        self.w = w
+        self.half = 1 << (w - 1)
+        self.mask = (1 << w) - 1
+        self.wide = (1 << (w + 1)) - 1
+        self.top = (1 << w) + 1
+        self.starts, self.offset = self.lp.layout(w)
+
+    # -- packed rows -------------------------------------------------------
+
+    def slot(self, p: int, k: int) -> int:
+        """Slot k of the packed row p, read as ((p + half) mod 2^w) - half
+        for k = 0.  For k > 0, p / 2^(w k) is first rounded to the nearest
+        integer, which drops the slots below k exactly, since together they
+        are less than half of 2^(w k) in size: with u the low w + 1 bits of
+        p >> (w k - 1), that integer is (u + 1) >> 1 modulo 2^w, and the
+        half slot folds into the same shift."""
+        if k:
+            p = ((p >> (self.w * k - 1)) & self.wide) + self.top >> 1
+        else:
+            p += self.half
+        return (p & self.mask) - self.half
+
+    def unpack(self, p: int) -> List[int]:
+        """Every slot of the packed row p: beta, then columns 0 .. ncols-1."""
+        q, mask, half = p + self.offset, self.mask, self.half
+        return [((q >> s) & mask) - half for s in range(0, self.w * (self.ncols + 1), self.w)]
+
+    def _widen(self, w: int):
+        """Repack the tableau at a wider slot width."""
+        rows = [self.unpack(p) for p in self.tab]
+        self._set_width(w)
+        self.tab = [_pack(row, w) for row in rows]
+
+    # -- certificates read off the tableau ---------------------------------
 
     def _scaled_values(self) -> List[int]:
         """den * x for every column."""
-        den = self.den
+        den, half, mask = self.den, self.half, self.mask
         x = [den * v for v in self.val]
         for row, b in zip(self.tab, self.basis):
-            x[b] = row[-1]
+            x[b] = ((row + half) & mask) - half  # slot 0 is beta
         return x
 
     def _dual(self, cost: Sequence[int]) -> List[int]:
-        """den * y with y = c_B B^-1, read off the artificial block."""
-        terms = [(cost[b], row) for b, row in zip(self.basis, self.tab) if cost[b]]
-        n = self.n
+        """den * y with y = c_B B^-1, read off the artificial block of the
+        final reduced costs: for column n+i, which is sign_i e_i, rc is
+        den * cost - sign_i den y_i."""
+        n, den, rc, slot = self.n, self.den, self.rc, self.slot
         return [
-            sign * sum(c * row[n + i] for c, row in terms)
+            sign * (den * cost[n + i] - slot(rc, n + i + 1))
             for i, sign in enumerate(self.art_sign)
         ]
 
     # -- core iteration ----------------------------------------------------
 
-    def _reduced_costs(self, cost: Sequence[int]) -> List[int]:
-        """den * (c - c_B B^-1 [A | I]) for an integer cost vector."""
-        d = [self.den * c for c in cost]
-        for k, b in enumerate(self.basis):
+    def _reduced_costs(self, cost: Sequence[int]) -> int:
+        """den * (c - c_B B^-1 [A | I]) for an integer cost vector, packed,
+        with slot 0 cleared."""
+        rc = self.den * (_pack(cost, self.w) << self.w)
+        for row, b in zip(self.tab, self.basis):
             cb = cost[b]
             if cb:
-                d = [v - cb * t for v, t in zip(d, self.tab[k])]
-        return d
+                rc -= cb * row
+        half = self.half
+        return rc - (((rc + half) & self.mask) - half)  # slot 0 cleared
 
-    def _entering(self, d: List[int]) -> Optional[Tuple[int, int]]:
+    def _entering(self) -> Optional[Tuple[int, int]]:
         """Bland's rule: the lowest column whose move improves.  Every such
-        column has a nonzero reduced cost."""
-        status, fixed = self.status, self.fixed
-        for j, dj in enumerate(d):
-            if not dj or fixed[j]:
-                continue  # a fixed column can never improve
-            st = status[j]
+        column has a nonzero reduced cost.  Only the reduced costs of
+        nonbasic columns that are not fixed are decoded, in column order up
+        to the first that improves."""
+        # slot 0 of rc is zero, so rc >> w holds the columns alone
+        w, mask, half, fixed = self.w, self.mask, self.half, self.fixed
+        q = (self.rc >> w) + self.offset
+        for j, st in enumerate(self.status):
+            if st == _BASIC or fixed[j]:
+                continue  # a basic column's rc is 0; a fixed column never improves
+            dj = ((q >> (w * j)) & mask) - half
             if st == _AT_LOWER:
                 if dj > 0:
                     return j, 1
             elif st == _AT_UPPER:
                 if dj < 0:
                     return j, -1
-            elif st == _FREE:
+            elif dj:
                 return j, (1 if dj > 0 else -1)
         return None
 
@@ -205,7 +315,10 @@ class _Simplex:
         None when the move was a bound flip, or -1 when nothing bounds the
         move (an unbounded direction; the caller decides)."""
         den, tab, basis, lo, hi, val = self.den, self.tab, self.basis, self.lo, self.hi, self.val
-        col = [row[j] for row in tab]
+        status, half, mask = self.status, self.half, self.mask
+        # slot(row, j + 1) of every row
+        sh, wide, top = self.w * (j + 1) - 1, self.wide, self.top
+        col = self.col = [((((row >> sh) & wide) + top >> 1) & mask) - half for row in tab]
         # the step is the least num / q (q > 0) over the bounds that block
         # it, compared by cross-multiplying; ties go to the lowest column
         num = q = leave_var = leave_row = None
@@ -220,52 +333,55 @@ class _Simplex:
             if r > 0:
                 if lo[b] is None:
                     continue
-                t = tab[i][-1] - den * lo[b]
+                t = ((tab[i] + half) & mask) - half - den * lo[b]  # slot 0 is beta
             else:
                 if hi[b] is None:
                     continue
-                t, r = den * hi[b] - tab[i][-1], -r
+                t, r = den * hi[b] - (((tab[i] + half) & mask) - half), -r
             if num is None or t * q < num * r or (t * q == num * r and b < leave_var):
                 num, q, leave_var, leave_row = t, r, b, i
         if num is None:
             return -1  # unbounded direction
         if leave_var == j:  # bound flip, basis unchanged
             step = bound - val[j]
-            for row, c in zip(tab, col):
+            for k, c in enumerate(col):
                 if c:
-                    row[-1] -= c * step
-            self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
+                    tab[k] -= c * step
+            status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
             val[j] = bound
             return None
         i = leave_row
         v = val[j]
         if v:
-            for row, c in zip(tab, col):
+            for k, c in enumerate(col):
                 if c:
-                    row[-1] += c * v
+                    tab[k] += c * v
         b = basis[i]
         if dire * col[i] > 0:
-            self.status[b], val[b] = _AT_LOWER, lo[b]
+            status[b], val[b] = _AT_LOWER, lo[b]
         else:
-            self.status[b], val[b] = _AT_UPPER, hi[b]
-        tab[i][-1] -= den * val[b]
-        self.status[j], val[j] = _BASIC, 0
+            status[b], val[b] = _AT_UPPER, hi[b]
+        tab[i] -= den * val[b]
+        status[j], val[j] = _BASIC, 0
         basis[i] = j
         self._pivot(i, j)
         return i
 
     def _pivot(self, i: int, j: int):
-        """Bareiss update of every other row and of rc; den becomes |piv|."""
-        prow = self.tab[i]
-        piv = prow[j]
+        """Bareiss update of every other row and of rc on entering column j,
+        whose entries _step left in col; den becomes |piv|."""
+        tab, col, den, half = self.tab, self.col, self.den, self.half
+        prow = tab[i]
+        piv = col[i]
         if piv < 0:  # negating the pivot row negates the whole update
-            prow = self.tab[i] = [-v for v in prow]
+            prow = tab[i] = -prow
             piv = -piv
-        den, tab = self.den, self.tab
-        for k, row in enumerate(tab):
+        for k, (row, f) in enumerate(zip(tab, col)):
             if k != i:
-                tab[k] = _bareiss_row(row, prow, j, piv, den)
-        self.rc = _bareiss_row(self.rc, prow, j, piv, den)
+                tab[k] = _bareiss_row(row, prow, f, piv, den)
+        # rc's slot 0 stays zero against the pivot row without its beta
+        beta = ((prow + half) & self.mask) - half
+        self.rc = _bareiss_row(self.rc, prow - beta, self.slot(self.rc, j + 1), piv, den)
         self.den = piv
 
     def _optimize(self, cost: Sequence[int]):
@@ -274,7 +390,7 @@ class _Simplex:
         column."""
         self.rc = self._reduced_costs(cost)
         while True:
-            pick = self._entering(self.rc)
+            pick = self._entering()
             if pick is None:
                 return ("optimal",)
             j, dire = pick
@@ -307,13 +423,19 @@ class _Simplex:
         """Maximize an integer objective from the current feasible basis.
         Only valid after phase1 reported feasible."""
         cost = list(objective) + [0] * self.m
+        norm_sq = sum(map(mul, objective, objective))
+        if norm_sq > self.cost_sq:
+            self.cost_sq = norm_sq
+            w = _width(self.h_sq * norm_sq)
+            if w > self.w:
+                self._widen(w)
         out = self._optimize(cost)
         if out[0] == "unbounded":
             _, j, dire = out
             ray = [0] * self.ncols
             ray[j] = dire * self.den
-            for i in range(self.m):
-                ray[self.basis[i]] = -dire * self.tab[i][j]
+            for row, b in zip(self.tab, self.basis):
+                ray[b] = -dire * self.slot(row, j + 1)
             ray = tuple(ray[: self.n])
             self._check_ray(ray, objective)
             return LpResult(status="unbounded", den=self.den, scaled_ray=ray)
@@ -387,16 +509,17 @@ class _Simplex:
                 raise ArithmeticError("unbounded ray escapes a finite bound")
 
 
-def _bareiss_row(row: List[int], prow: List[int], j: int, piv: int, den: int) -> List[int]:
-    """Eliminate column j of row against the pivot row prow:
-    (piv*row - row[j]*prow) // den.  By Sylvester's identity every result
-    is, up to sign, a minor of [A | I | r] for the integer vector r whose
-    image beta is, so the division is exact.  The reduced-cost row is one
-    entry shorter than a tableau row, and zip stops at it."""
-    f = row[j]
+def _bareiss_row(row: int, prow: int, f: int, piv: int, den: int) -> int:
+    """Eliminate column j of the packed row against the packed pivot row
+    prow, where f is the row's entry in column j: (piv*row - f*prow) // den
+    for every slot at once.  By Sylvester's identity each slot of the
+    result is, up to sign, a minor of [A | I | r] for the integer vector r
+    whose image beta is, so each slot's division is exact, and with it the
+    division of the whole packed row."""
     if f == 0:
-        return row if piv == den else [v * piv // den for v in row]
-    return [(piv * a - f * b) // den for a, b in zip(row, prow)]
+        return row if piv == den else row * piv // den
+    return (piv * row - f * prow) // den
+
 
 
 

@@ -22,7 +22,7 @@ from latref.exact import (
 from latref.knapsack import Decomposition, ValidationError, integer_width
 from latref.lattice import LLLParams, _column_echelon, forward_substitute
 from latref.reformulate import EqualitySystem, ExtendedFormulation
-from latref.solver import LpResult, _LpRows, _Simplex
+from latref.solver import _AT_LOWER, _AT_UPPER, _BASIC, _FREE, LpResult, _LpRows, _Simplex
 
 
 def representable_sieve(a, limit):
@@ -129,13 +129,18 @@ def box_vertices(rows, rhs, box):
                 yield tuple(x)
 
 
-def lp_solve(objective, rows, rhs, bounds, sense="max") -> LpResult:
-    """Optimize an integer objective over {rows x = rhs, bounds} with the
-    library's integer simplex: phase 1, then one reoptimize.  For sense
-    "min" the negated objective is maximized and value and dual are
-    flipped back, so the caller sees min-sense numbers."""
+def packed_simplex(rows, rhs, bounds) -> _Simplex:
+    return _Simplex(_LpRows(rows, rhs), bounds)
+
+
+def lp_solve(objective, rows, rhs, bounds, sense="max", simplex=packed_simplex) -> LpResult:
+    """Optimize an integer objective over {rows x = rhs, bounds} with an
+    integer simplex, the library's unless another constructor is given:
+    phase 1, then one reoptimize.  For sense "min" the negated objective is
+    maximized and value and dual are flipped back, so the caller sees
+    min-sense numbers."""
     sign = 1 if sense == "max" else -1
-    sx = _Simplex(_LpRows(rows, rhs), bounds)
+    sx = simplex(rows, rhs, bounds)
     res = sx.phase1()
     if res.status != "feasible":
         return res
@@ -147,6 +152,270 @@ def lp_solve(objective, rows, rhs, bounds, sense="max") -> LpResult:
         scaled_value=sign * res.scaled_value,
         scaled_dual=tuple(sign * y for y in res.scaled_dual),
     )
+
+
+# ---------------------------------------------------------------------------
+# The list-row simplex, reference for the packed one
+
+
+class ListSimplex:
+    """The list-row simplex that latref.solver._Simplex replaced, kept as
+    its reference: the same pivots, den sequence and LpResults, with each
+    tableau row a Python list.
+
+    Bounded-variable two-phase simplex on a fraction-free integer tableau.
+    The inputs are integer rows and rhs, and one (lower, upper) pair per
+    column of ints or None.  They are kept as given and the certificate
+    checks read them directly.  A nonbasic column always
+    sits at one of its bounds, or at 0 when it is free, so every nonbasic
+    value is an integer; val holds it, and fixed marks the columns with
+    lower == upper, both kept in step with status.
+
+    The tableau B^-1 [A | I], with the basic values x_B as one more
+    column, is held as Python ints T over one common denominator den > 0:
+    the true entry is T[i][j] / den, and den is |det B|.  So the last
+    column is beta = den * x_B.  A pivot on (i, j) is the Bareiss update
+    T'[k] = (piv*T[k] - T[k][j]*T[i]) // den, whose division is exact; den
+    then becomes |piv|.  Before it, beta is rewritten for the new nonbasic
+    set: the entering column's value is folded in and the leaving column
+    moves to the bound its ratio named.  A bound flip subtracts
+    column * step from beta.  The reduced-cost row rc = den * (c - c_B B^-1
+    [A | I]) is built once per optimisation and rides along as one more
+    row under the same update.  Ratios are compared as integer
+    cross-products, so nothing is ever divided.
+
+    phase1 finds a feasible basis or a Farkas certificate; reoptimize then
+    maximizes any number of integer objectives in turn from the current
+    basis.  The artificial columns are kept for the whole solve; after
+    phase 1 they are fixed to zero, which both blocks re-entry and keeps
+    B^-1 readable off the tableau for the dual and Farkas certificates.
+    Every certificate is checked on den-scaled integers against the
+    original rows and den * rhs, and the LpResult carries those integers:
+    a Fraction is built only when one of its views is read.
+    """
+
+    def __init__(self, rows, rhs, bounds):
+        self.rows, self.rhs, self.cols, self.bounds = rows, rhs, tuple(zip(*rows)), bounds
+        m = self.m = len(rows)
+        n = self.n = len(bounds)
+        self.ncols = n + m
+        self.lo = [b[0] for b in bounds] + [0] * m
+        self.hi = [b[1] for b in bounds] + [None] * m
+        self.status = [
+            _AT_LOWER if lo is not None else _AT_UPPER if hi is not None else _FREE
+            for lo, hi in bounds
+        ] + [_BASIC] * m
+        self.val = [
+            lo if lo is not None else hi if hi is not None else 0 for lo, hi in bounds
+        ] + [0] * m
+        self.fixed = [lo is not None and lo == hi for lo, hi in bounds] + [False] * m
+        # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
+        # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
+        self.den = 1
+        self.art_sign = []
+        self.tab: List[List[int]] = []
+        for i, (row, r) in enumerate(zip(rows, rhs)):
+            resid = r - sum(map(mul, row, self.val))
+            sign = 1 if resid >= 0 else -1
+            self.art_sign.append(sign)
+            t = [sign * a for a in row] + [0] * (m + 1)
+            t[n + i] = 1
+            t[-1] = sign * resid
+            self.tab.append(t)
+        self.rc: List[int] = []
+        self.basis = list(range(n, self.ncols))
+
+    def _scaled_values(self) -> List[int]:
+        """den * x for every column."""
+        den = self.den
+        x = [den * v for v in self.val]
+        for row, b in zip(self.tab, self.basis):
+            x[b] = row[-1]
+        return x
+
+    def _dual(self, cost: Sequence[int]) -> List[int]:
+        """den * y with y = c_B B^-1, read off the artificial block."""
+        terms = [(cost[b], row) for b, row in zip(self.basis, self.tab) if cost[b]]
+        n = self.n
+        return [
+            sign * sum(c * row[n + i] for c, row in terms)
+            for i, sign in enumerate(self.art_sign)
+        ]
+
+    # -- core iteration ----------------------------------------------------
+
+    def _reduced_costs(self, cost: Sequence[int]) -> List[int]:
+        """den * (c - c_B B^-1 [A | I]) for an integer cost vector."""
+        d = [self.den * c for c in cost]
+        for k, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb:
+                d = [v - cb * t for v, t in zip(d, self.tab[k])]
+        return d
+
+    def _entering(self, d: List[int]) -> Optional[Tuple[int, int]]:
+        """Bland's rule: the lowest column whose move improves.  Every such
+        column has a nonzero reduced cost."""
+        status, fixed = self.status, self.fixed
+        for j, dj in enumerate(d):
+            if not dj or fixed[j]:
+                continue  # a fixed column can never improve
+            st = status[j]
+            if st == _AT_LOWER:
+                if dj > 0:
+                    return j, 1
+            elif st == _AT_UPPER:
+                if dj < 0:
+                    return j, -1
+            elif st == _FREE:
+                return j, (1 if dj > 0 else -1)
+        return None
+
+    def _step(self, j: int, dire: int) -> Optional[int]:
+        """One ratio-test move for entering column j.  Returns the pivot row,
+        None when the move was a bound flip, or -1 when nothing bounds the
+        move (an unbounded direction; the caller decides)."""
+        den, tab, basis, lo, hi, val = self.den, self.tab, self.basis, self.lo, self.hi, self.val
+        col = [row[j] for row in tab]
+        # the step is the least num / q (q > 0) over the bounds that block
+        # it, compared by cross-multiplying; ties go to the lowest column
+        num = q = leave_var = leave_row = None
+        bound = hi[j] if dire > 0 else lo[j]
+        if bound is not None:
+            num, q, leave_var = dire * (bound - val[j]), 1, j
+        for i, c in enumerate(col):
+            if not c:
+                continue
+            b = basis[i]
+            r = dire * c  # den times the fall of basic i per unit step
+            if r > 0:
+                if lo[b] is None:
+                    continue
+                t = tab[i][-1] - den * lo[b]
+            else:
+                if hi[b] is None:
+                    continue
+                t, r = den * hi[b] - tab[i][-1], -r
+            if num is None or t * q < num * r or (t * q == num * r and b < leave_var):
+                num, q, leave_var, leave_row = t, r, b, i
+        if num is None:
+            return -1  # unbounded direction
+        if leave_var == j:  # bound flip, basis unchanged
+            step = bound - val[j]
+            for row, c in zip(tab, col):
+                if c:
+                    row[-1] -= c * step
+            self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
+            val[j] = bound
+            return None
+        i = leave_row
+        v = val[j]
+        if v:
+            for row, c in zip(tab, col):
+                if c:
+                    row[-1] += c * v
+        b = basis[i]
+        if dire * col[i] > 0:
+            self.status[b], val[b] = _AT_LOWER, lo[b]
+        else:
+            self.status[b], val[b] = _AT_UPPER, hi[b]
+        tab[i][-1] -= den * val[b]
+        self.status[j], val[j] = _BASIC, 0
+        basis[i] = j
+        self._pivot(i, j)
+        return i
+
+    def _pivot(self, i: int, j: int):
+        """Bareiss update of every other row and of rc; den becomes |piv|."""
+        prow = self.tab[i]
+        piv = prow[j]
+        if piv < 0:  # negating the pivot row negates the whole update
+            prow = self.tab[i] = [-v for v in prow]
+            piv = -piv
+        den, tab = self.den, self.tab
+        for k, row in enumerate(tab):
+            if k != i:
+                tab[k] = list_bareiss_row(row, prow, j, piv, den)
+        self.rc = list_bareiss_row(self.rc, prow, j, piv, den)
+        self.den = piv
+
+    def _optimize(self, cost: Sequence[int]):
+        """Run to optimality for max cost.x with an integer cost vector;
+        returns ("optimal",) or ("unbounded", j, dire) for the escaping
+        column."""
+        self.rc = self._reduced_costs(cost)
+        while True:
+            pick = self._entering(self.rc)
+            if pick is None:
+                return ("optimal",)
+            j, dire = pick
+            if self._step(j, dire) == -1:
+                return ("unbounded", j, dire)
+
+    # -- public driver -----------------------------------------------------
+
+    def phase1(self) -> LpResult:
+        """Drive the artificial columns to zero: an "infeasible" result with
+        a checked Farkas vector, or a "feasible" one with a primal-checked
+        point, after which reoptimize may run."""
+        phase1 = [0] * self.n + [-1] * self.m
+        out = self._optimize(phase1)
+        if out[0] != "optimal":
+            raise ArithmeticError("phase 1 cannot be unbounded")
+        x = self._scaled_values()
+        if any(x[self.n :]):
+            farkas = tuple(-v for v in self._dual(phase1))
+            self._check_farkas(farkas)
+            return LpResult(status="infeasible", den=self.den, scaled_farkas=farkas)
+        for k in range(self.n, self.ncols):
+            self.hi[k] = 0
+            self.fixed[k] = True
+        x = tuple(x[: self.n])
+        self._check_primal(x)
+        return LpResult(status="feasible", den=self.den, scaled_point=x)
+
+    def reoptimize(self, objective: Sequence[int]) -> LpResult:
+        """Maximize an integer objective from the current feasible basis.
+        Only valid after phase1 reported feasible."""
+        cost = list(objective) + [0] * self.m
+        out = self._optimize(cost)
+        if out[0] == "unbounded":
+            _, j, dire = out
+            ray = [0] * self.ncols
+            ray[j] = dire * self.den
+            for i in range(self.m):
+                ray[self.basis[i]] = -dire * self.tab[i][j]
+            ray = tuple(ray[: self.n])
+            self._check_ray(ray, objective)
+            return LpResult(status="unbounded", den=self.den, scaled_ray=ray)
+        x = tuple(self._scaled_values()[: self.n])
+        value = sum(map(mul, objective, x))
+        y = tuple(self._dual(cost))
+        self._check_optimal(x, value, y, cost)
+        return LpResult(
+            status="optimal", den=self.den, scaled_value=value, scaled_point=x, scaled_dual=y
+        )
+
+    # -- verification ------------------------------------------------------
+    # The library's checks, which read only rows, rhs, cols, bounds, status,
+    # fixed, val and den.
+
+    _check_primal = _Simplex._check_primal
+    _check_optimal = _Simplex._check_optimal
+    _check_farkas = _Simplex._check_farkas
+    _check_ray = _Simplex._check_ray
+
+
+def list_bareiss_row(row: List[int], prow: List[int], j: int, piv: int, den: int) -> List[int]:
+    """Eliminate column j of row against the pivot row prow:
+    (piv*row - row[j]*prow) // den.  By Sylvester's identity every result
+    is, up to sign, a minor of [A | I | r] for the integer vector r whose
+    image beta is, so the division is exact.  The reduced-cost row is one
+    entry shorter than a tableau row, and zip stops at it."""
+    f = row[j]
+    if f == 0:
+        return row if piv == den else [v * piv // den for v in row]
+    return [(piv * a - f * b) // den for a, b in zip(row, prow)]
 
 
 # ---------------------------------------------------------------------------

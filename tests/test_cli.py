@@ -489,3 +489,44 @@ def test_knapsack_commands_need_single_row(tmp_path):
         with pytest.raises(SystemExit) as ei:
             main(cmd + [path])
         assert ei.value.code == EXIT_USAGE
+
+
+def test_main_builds_parser_once(tmp_path, capsys, monkeypatch):
+    """The parser is built by the first main call and reused after it."""
+    from latref import cli
+
+    built = []
+    real = cli._build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    path = write(tmp_path, "1 2\n2 3\n7\n")
+    assert main(["solve", path]) == EXIT_OK
+    assert main(["solve", path, "--node-limit", "5"]) == EXIT_OK
+    assert len(built) == 1
+
+
+def test_reused_parser_wraps_usage_to_columns(tmp_path, capsys, monkeypatch):
+    """argparse reads COLUMNS when it formats a usage error, so a parser
+    built at one terminal width prints what a new parser prints at the
+    width of a later call."""
+    from latref import cli
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    path = write(tmp_path, "1 2\n2 3\n7\n")
+    argv = ["solve", path, "--formulation", "bogus"]
+    errs = {}
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for parse in (main, cli._build_parser().parse_args):
+            with pytest.raises(SystemExit) as ei:
+                parse(argv)
+            assert ei.value.code == EXIT_USAGE
+            errs.setdefault(columns, []).append(capsys.readouterr().err)
+    assert errs["200"][0] == errs["200"][1]
+    assert errs["40"][0] == errs["40"][1]
+    assert errs["40"][0] != errs["200"][0]

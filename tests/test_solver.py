@@ -26,7 +26,7 @@ from latref.reformulate import (
     dual_kernel,
     split_basis,
 )
-from support import box_vertices, full_row_rank, lp_solve, random_decomposition
+from support import ListSimplex, box_vertices, full_row_rank, lp_solve, random_decomposition
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481
@@ -173,6 +173,147 @@ def test_lp_rational_unbounded_ray():
     assert low.point == (1, 0, F(3, 4))
 
 
+# ---------------------------------------------------------------------------
+# the packed tableau against the list-row reference
+
+
+def recording(cls, decode):
+    """A subclass of the simplex class cls that logs each pivot as (i, j,
+    den after it, every row decoded as beta then the columns), and the
+    log."""
+    log = []
+
+    class Recording(cls):
+        def _pivot(self, i, j):
+            super()._pivot(i, j)
+            log.append((i, j, self.den, decode(self)))
+
+    return Recording, log
+
+
+def packed_rows(sx):
+    return [sx.unpack(row) for row in sx.tab]
+
+
+def list_rows(sx):
+    return [row[-1:] + row[:-1] for row in sx.tab]
+
+
+def solve_both(objective, rows, rhs, bounds, sense="max"):
+    """lp_solve by the packed simplex and by the list-row reference: the
+    two results and the two pivot logs."""
+    packed, packed_log = recording(solver._Simplex, packed_rows)
+    listed, listed_log = recording(ListSimplex, list_rows)
+    got = lp_solve(objective, rows, rhs, bounds, sense,
+                   lambda r, b, bb: packed(solver._LpRows(r, b), bb))
+    ref = lp_solve(objective, rows, rhs, bounds, sense, listed)
+    return got, packed_log, ref, listed_log
+
+
+@st.composite
+def wide_lps(draw):
+    """Up to 12 rows and 16 columns with entries up to 10^30, finite,
+    one-sided and free bounds, and an objective with entries up to 10^20.
+    The rhs is the image of a point inside the bounds, or arbitrary."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 16))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    bounds, point = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("box", "lower", "upper", "free")))
+        end = draw(st.one_of(st.integers(-5, 5), st.integers(-10**30, 10**30)))
+        width = draw(st.integers(0, 6))
+        offset = draw(st.integers(0, width))
+        if kind == "box":
+            bounds.append((end, end + width))
+            point.append(end + offset)
+        elif kind == "lower":
+            bounds.append((end, None))
+            point.append(end + offset)
+        elif kind == "upper":
+            bounds.append((None, end))
+            point.append(end - offset)
+        else:
+            bounds.append((None, None))
+            point.append(offset - width // 2)
+    if draw(st.booleans()):
+        rhs = [dot(row, point) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    coef = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+    objective = draw(st.lists(coef, min_size=n, max_size=n))
+    return objective, rows, rhs, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_lps(), st.sampled_from(("max", "min")))
+def test_packed_simplex_matches_list_rows(lp, sense):
+    """The packed tableau takes the same pivots as the list-row one, with
+    the same den and the same decoded rows after each, and returns an
+    equal LpResult."""
+    got, packed_log, ref, listed_log = solve_both(*lp, sense)
+    assert [e[:3] for e in packed_log] == [e[:3] for e in listed_log]
+    assert packed_log == listed_log
+    assert got == ref
+
+
+def test_large_objective_widens_the_slots():
+    """Reduced costs grow with the objective, so reoptimize repacks the
+    tableau at a wider slot when the objective needs it, and answers as
+    the list-row reference does."""
+    rows, rhs, bounds = ((3, 5, -2),), (7,), ((0, 4), (0, 4), (0, 4))
+    objective = (10**20, -(10**20) + 1, 7)
+    sx = solver._Simplex(solver._LpRows(rows, rhs), bounds)
+    ref = ListSimplex(rows, rhs, bounds)
+    assert sx.phase1() == ref.phase1()
+    narrow = sx.w
+    assert sx.reoptimize(objective) == ref.reoptimize(objective)
+    assert sx.w > narrow
+
+
+def sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("scale", [1, 10**12])
+def test_slots_hold_a_hadamard_determinant(order, scale):
+    """A Sylvester-Hadamard matrix meets Hadamard's bound: |det| is
+    order^(order/2).  With free columns, every residual is the rhs itself,
+    at its bound R_i = |b_i|; phase 1 makes every column basic, so den
+    ends at |det|, a few bits below the top of a slot when the rhs is
+    small.  Every row decodes to the list-row reference after every pivot."""
+    h = sylvester(order)
+    rhs = [scale * row[0] for row in h]
+    objective = list(range(order))
+    got, packed_log, ref, listed_log = solve_both(objective, h, rhs, [(None, None)] * order)
+    assert packed_log == listed_log
+    assert got == ref and got.status == "optimal"
+    assert packed_log[-1][2] == order ** (order // 2)
+    assert got.point == (scale,) + (0,) * (order - 1)
+    sx = solver._Simplex(solver._LpRows(h, rhs), [(None, None)] * order)
+    if scale == 1:
+        assert sx.w - (order ** (order // 2)).bit_length() <= 5
+
+
+@pytest.mark.parametrize("width", [16, 64, 128, 190])
+def test_too_narrow_slots_end_in_a_certificate_error(width, monkeypatch):
+    """Slots narrower than the derived width (207 bits here) wrap the
+    large entries; the run must then fail a certificate check, not
+    answer."""
+    rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
+    rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
+    bounds = ((0, 3), (0, 3), (0, 3), (0, 3))
+    assert solver._Simplex(solver._LpRows(rows, rhs), bounds).w == 207
+    monkeypatch.setattr(solver, "_width", lambda bound_sq: width)
+    with pytest.raises(ArithmeticError, match="primal point violates|Farkas certificate"):
+        lp_solve((1, 1, 1, 1), rows, rhs, bounds)
+
+
 def test_lp_negative_pivot(monkeypatch):
     """x1 leaves at its upper bound, so the tableau pivots on a negative
     entry and the integer rows change sign."""
@@ -180,7 +321,7 @@ def test_lp_negative_pivot(monkeypatch):
     real = solver._Simplex._pivot
 
     def spy(self, i, j):
-        signs.append(self.tab[i][j] < 0)
+        signs.append(self.slot(self.tab[i], j + 1) < 0)
         real(self, i, j)
 
     monkeypatch.setattr(solver._Simplex, "_pivot", spy)
@@ -335,9 +476,13 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
         assert all(type(v) is F for v in r.point)
     for sx in tableaus:
         assert type(sx.den) is int and sx.den > 0
-        assert all(type(v) is int for row in sx.tab for v in row)
-        # the last column is beta = den * x_B
-        assert all(len(row) == sx.ncols + 1 for row in sx.tab)
+        rows = [sx.unpack(row) for row in sx.tab]
+        assert all(type(v) is int for row in rows for v in row)
+        # slot 0 is beta = den * x_B, then one slot per column
+        assert all(len(row) == sx.ncols + 1 for row in rows)
+        # B^-1 B = I: a basic column reads den in its own row, else 0
+        for i, b in enumerate(sx.basis):
+            assert [row[b + 1] for row in rows] == [sx.den * (k == i) for k in range(sx.m)]
 
 
 def test_bnb_node_lp_is_phase1(monkeypatch):
