@@ -219,10 +219,9 @@ def _knapsack_row(sys_: EqualitySystem, parser) -> None:
 
 
 def _split_policy(args) -> object:
-    if getattr(args, "s", None) is not None:
+    if args.s is not None:
         return FixedSplit(args.s)
-    rho = getattr(args, "ratio", None)
-    return RatioSplit(rho) if rho is not None else RatioSplit()
+    return RatioSplit(args.ratio) if args.ratio is not None else RatioSplit()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +354,8 @@ def _cmd_frobenius_exact(args, parser) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
+    if args.s is not None and args.formulation != "ext":
+        raise ParseError(0, 0, "--s needs --formulation ext")
     sys_ = _read_system(args.file)
     cfg = BnbConfig(node_limit=args.node_limit)
     if args.formulation == "orig":

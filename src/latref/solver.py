@@ -8,22 +8,21 @@ that is re-verified in integers before it is returned.  Each tableau row
 is packed into one Python int at a slot width derived from Hadamard's
 bound (Kronecker substitution), so a row update is one big-integer
 expression instead of a loop over its entries.  An LpResult holds
-those integers and their denominator; its Fraction views are built only
-when one of them is read.  Branch and bound sits on top of that and reads
-the integers alone: phase 1 of the simplex is each node's feasibility LP,
-and two bound probes for the chosen branching variable reoptimize from
-its feasible basis.
+those integers and their denominator.  Branch and bound is the simplex's
+only caller and reads the integers alone: phase 1 is each node's
+feasibility LP, and two probes from its feasible basis maximize and
+minimize the chosen branching variable.
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import DomainError, IntMatrix, mat_vec
+from .knapsack import ResourceLimitError
 from .lattice import kernel_and_solution
 from .reformulate import (
     EqualitySystem,
@@ -41,8 +40,7 @@ _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 class LpResult:
     """One simplex answer as integers over the tableau's denominator den:
     the true value is scaled_value / den, and so is every entry of
-    scaled_point, scaled_dual, scaled_farkas and scaled_ray.  The Fraction
-    views value, point, dual, farkas and ray are built when read."""
+    scaled_point, scaled_dual, scaled_farkas and scaled_ray."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"; "feasible" after phase 1
     den: int = 1
@@ -51,29 +49,6 @@ class LpResult:
     scaled_dual: Optional[Tuple[int, ...]] = None
     scaled_farkas: Optional[Tuple[int, ...]] = None
     scaled_ray: Optional[Tuple[int, ...]] = None
-
-    def _view(self, scaled: Optional[Sequence[int]]) -> Optional[Tuple[Fraction, ...]]:
-        return None if scaled is None else tuple(Fraction(v, self.den) for v in scaled)
-
-    @property
-    def value(self) -> Optional[Fraction]:
-        return None if self.scaled_value is None else Fraction(self.scaled_value, self.den)
-
-    @property
-    def point(self) -> Optional[Tuple[Fraction, ...]]:
-        return self._view(self.scaled_point)
-
-    @property
-    def dual(self) -> Optional[Tuple[Fraction, ...]]:
-        return self._view(self.scaled_dual)
-
-    @property
-    def farkas(self) -> Optional[Tuple[Fraction, ...]]:
-        return self._view(self.scaled_farkas)
-
-    @property
-    def ray(self) -> Optional[Tuple[Fraction, ...]]:
-        return self._view(self.scaled_ray)
 
 
 class _LpRows:
@@ -148,10 +123,11 @@ class _Simplex:
     sum_j |a_ij| max(|lo_j|, |hi_j|) over the finite bounds.  The
     reduced-cost row rc = den * (c - c_B B^-1 [A | I]) is packed the same
     way with slot 0 kept at zero; its entries are (m+1)-minors that take in
-    the cost row, at most H ||c||.  So w = bitlength(H max(1, ||c||)) + 1
-    holds every decoded value; reoptimize widens the tableau when an
-    objective needs more.  Values in between, such as piv*row, need not fit
-    a slot: the packed identities are exact for any integers.
+    the cost row, at most H ||c||.  The widest cost is phase 1's, with
+    ||c||^2 = m, as a probe's has norm 1, so w = bitlength(H sqrt(max(1,
+    m))) + 1, fixed at construction, holds every decoded value.  Values in
+    between, such as piv*row, need not fit a slot: the packed identities
+    are exact for any integers.
 
     A pivot on (i, j) is the Bareiss update T'[k] = (piv*T[k] -
     T[k][j]*T[i]) // den, one big-integer expression per row, whose
@@ -163,18 +139,17 @@ class _Simplex:
     optimisation and rides along under the same update.  Ratios are
     compared as integer cross-products, so nothing is ever divided.
 
-    phase1 finds a feasible basis or a Farkas certificate; reoptimize then
-    maximizes any number of integer objectives in turn from the current
-    basis.  The artificial columns are kept for the whole solve; after
-    phase 1 they are fixed to zero, which both blocks re-entry and keeps
-    B^-1 readable off the tableau for the dual and Farkas certificates.
-    Every certificate is checked on den-scaled integers against the
-    original rows and den * rhs, and the LpResult carries those integers:
-    a Fraction is built only when one of its views is read.
+    phase1 finds a feasible basis or a Farkas certificate; probe then
+    maximizes dire * x_j for any number of columns j and signs dire in
+    turn from the current basis.  The artificial columns are kept for the
+    whole solve; after phase 1 they are fixed to zero, which both blocks
+    re-entry and keeps B^-1 readable off the tableau for the dual and
+    Farkas certificates.  Every certificate is checked on den-scaled
+    integers against the original rows and den * rhs, and the LpResult
+    carries those integers.
     """
 
     def __init__(self, lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
-        self.lp = lp
         self.rows, self.rhs, self.cols, self.bounds = lp.rows, lp.rhs, lp.cols, bounds
         m = self.m = len(lp.rows)
         n = self.n = len(bounds)
@@ -199,17 +174,19 @@ class _Simplex:
         for absrow, norm, r in zip(lp.abs_rows, lp.norms, lp.rhs):
             resid = abs(r) + sum(map(mul, absrow, reach))
             h_sq *= norm + resid * resid
-        self.h_sq = h_sq
-        # the slots hold reduced costs of any cost vector c with ||c||^2 <=
-        # cost_sq; the phase 1 cost has ||c||^2 = m
-        self.cost_sq = max(1, m)
-        self._set_width(_width(h_sq * self.cost_sq))
+        # the widest cost is phase 1's, with ||c||^2 = m
+        w = self.w = _width(h_sq * max(1, m))
+        self.half = 1 << (w - 1)
+        self.mask = (1 << w) - 1
+        self.wide = (1 << (w + 1)) - 1
+        self.top = (1 << w) + 1
+        starts, self.offset = lp.layout(w)
         # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
         # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
         self.den = 1
         self.art_sign = []
         self.tab: List[int] = []
-        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, self.starts):
+        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, starts):
             resid = r - sum(map(mul, row, self.val))
             if resid >= 0:
                 self.art_sign.append(1)
@@ -220,14 +197,6 @@ class _Simplex:
         self.rc = 0
         self.col: List[int] = []  # the entering column: _step reads it, _pivot uses it
         self.basis = list(range(n, self.ncols))
-
-    def _set_width(self, w: int):
-        self.w = w
-        self.half = 1 << (w - 1)
-        self.mask = (1 << w) - 1
-        self.wide = (1 << (w + 1)) - 1
-        self.top = (1 << w) + 1
-        self.starts, self.offset = self.lp.layout(w)
 
     # -- packed rows -------------------------------------------------------
 
@@ -243,17 +212,6 @@ class _Simplex:
         else:
             p += self.half
         return (p & self.mask) - self.half
-
-    def unpack(self, p: int) -> List[int]:
-        """Every slot of the packed row p: beta, then columns 0 .. ncols-1."""
-        q, mask, half = p + self.offset, self.mask, self.half
-        return [((q >> s) & mask) - half for s in range(0, self.w * (self.ncols + 1), self.w)]
-
-    def _widen(self, w: int):
-        """Repack the tableau at a wider slot width."""
-        rows = [self.unpack(p) for p in self.tab]
-        self._set_width(w)
-        self.tab = [_pack(row, w) for row in rows]
 
     # -- certificates read off the tableau ---------------------------------
 
@@ -402,7 +360,7 @@ class _Simplex:
     def phase1(self) -> LpResult:
         """Drive the artificial columns to zero: an "infeasible" result with
         a checked Farkas vector, or a "feasible" one with a primal-checked
-        point, after which reoptimize may run."""
+        point, after which probe may run."""
         phase1 = [0] * self.n + [-1] * self.m
         out = self._optimize(phase1)
         if out[0] != "optimal":
@@ -419,28 +377,23 @@ class _Simplex:
         self._check_primal(x)
         return LpResult(status="feasible", den=self.den, scaled_point=x)
 
-    def reoptimize(self, objective: Sequence[int]) -> LpResult:
-        """Maximize an integer objective from the current feasible basis.
-        Only valid after phase1 reported feasible."""
-        cost = list(objective) + [0] * self.m
-        norm_sq = sum(map(mul, objective, objective))
-        if norm_sq > self.cost_sq:
-            self.cost_sq = norm_sq
-            w = _width(self.h_sq * norm_sq)
-            if w > self.w:
-                self._widen(w)
+    def probe(self, j: int, dire: int) -> LpResult:
+        """Maximize dire * x_j, for dire = 1 or -1, from the current
+        feasible basis.  Only valid after phase1 reported feasible."""
+        cost = [0] * self.ncols
+        cost[j] = dire
         out = self._optimize(cost)
         if out[0] == "unbounded":
-            _, j, dire = out
+            _, k, d = out
             ray = [0] * self.ncols
-            ray[j] = dire * self.den
+            ray[k] = d * self.den
             for row, b in zip(self.tab, self.basis):
-                ray[b] = -dire * self.slot(row, j + 1)
+                ray[b] = -d * self.slot(row, k + 1)
             ray = tuple(ray[: self.n])
-            self._check_ray(ray, objective)
+            self._check_ray(ray, cost)
             return LpResult(status="unbounded", den=self.den, scaled_ray=ray)
         x = tuple(self._scaled_values()[: self.n])
-        value = sum(map(mul, objective, x))
+        value = dire * x[j]
         y = tuple(self._dual(cost))
         self._check_optimal(x, value, y, cost)
         return LpResult(
@@ -498,11 +451,11 @@ class _Simplex:
         if not cap < sum(map(mul, y, self.rhs)):
             raise ArithmeticError("Farkas certificate failed verification")
 
-    def _check_ray(self, ray: Sequence[int], objective: Sequence[int]):
+    def _check_ray(self, ray: Sequence[int], cost: Sequence[int]):
         for row in self.rows:
             if sum(map(mul, row, ray)) != 0:
                 raise ArithmeticError("unbounded ray leaves the equality space")
-        if not sum(map(mul, objective, ray)) > 0:
+        if not sum(map(mul, cost, ray)) > 0:
             raise ArithmeticError("unbounded ray does not improve the objective")
         for r, (lo, hi) in zip(ray, self.bounds):
             if (r > 0 and hi is not None) or (r < 0 and lo is not None):
@@ -519,8 +472,6 @@ def _bareiss_row(row: int, prow: int, f: int, piv: int, den: int) -> int:
     if f == 0:
         return row if piv == den else row * piv // den
     return (piv * row - f * prow) // den
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +641,8 @@ def bnb_feasibility(
 
         # probe the exact LP range of the branch variable, reusing the
         # node's feasible basis for both directions
-        ej = [0] * len(space.names)
-        ej[branch] = 1
-        hi_lp = sx.reoptimize(ej)
-        ej[branch] = -1
-        lo_lp = sx.reoptimize(ej)
+        hi_lp = sx.probe(branch, 1)
+        lo_lp = sx.probe(branch, -1)
         probe = (
             -(lo_lp.scaled_value // lo_lp.den) if lo_lp.status == "optimal" else None,
             hi_lp.scaled_value // hi_lp.den if hi_lp.status == "optimal" else None,
@@ -716,6 +664,7 @@ def bnb_feasibility(
 # market split instances
 
 _MASK64 = (1 << 64) - 1
+MARKET_SPLIT_ENTRY_GUARD = 10**6
 
 
 def _splitmix64(seed: int):
@@ -735,11 +684,18 @@ def gen_market_split(m: int, seed: int) -> EqualitySystem:
     uniform on [0, 99] and each rhs half its row sum (rounded down).
 
     The stream is splitmix64 on the given seed, consumed row-major, so the
-    same seed reproduces the same instance everywhere.
+    same seed reproduces the same instance everywhere.  More than
+    MARKET_SPLIT_ENTRY_GUARD entries (m > 316) raise ResourceLimitError
+    before any entry is drawn.
     """
     if m < 2:
         raise DomainError("market split needs at least two rows")
     n = 10 * (m - 1)
+    if m * n > MARKET_SPLIT_ENTRY_GUARD:
+        raise ResourceLimitError(
+            "m = %d needs %d entries, over the %d-entry guard"
+            % (m, m * n, MARKET_SPLIT_ENTRY_GUARD)
+        )
     gen = _splitmix64(seed)
     rows = [[next(gen) % 100 for _ in range(n)] for _ in range(m)]
     b = tuple(sum(row) // 2 for row in rows)

@@ -133,24 +133,70 @@ def packed_simplex(rows, rhs, bounds) -> _Simplex:
     return _Simplex(_LpRows(rows, rhs), bounds)
 
 
-def lp_solve(objective, rows, rhs, bounds, sense="max", simplex=packed_simplex) -> LpResult:
-    """Optimize an integer objective over {rows x = rhs, bounds} with an
-    integer simplex, the library's unless another constructor is given:
-    phase 1, then one reoptimize.  For sense "min" the negated objective is
-    maximized and value and dual are flipped back, so the caller sees
-    min-sense numbers."""
+def unpack(sx: _Simplex, p: int) -> List[int]:
+    """Every slot of the packed tableau row p of sx: beta, then columns
+    0 .. ncols-1."""
+    q, mask, half, w = p + sx.offset, sx.mask, sx.half, sx.w
+    return [((q >> s) & mask) - half for s in range(0, w * (sx.ncols + 1), w)]
+
+
+class LpAnswer(LpResult):
+    """An LpResult with Fraction views of its den-scaled integers."""
+
+    def _view(self, scaled: Optional[Sequence[int]]) -> Optional[Tuple[Fraction, ...]]:
+        return None if scaled is None else tuple(Fraction(v, self.den) for v in scaled)
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.scaled_value is None else Fraction(self.scaled_value, self.den)
+
+    @property
+    def point(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_point)
+
+    @property
+    def dual(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_dual)
+
+    @property
+    def farkas(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_farkas)
+
+    @property
+    def ray(self) -> Optional[Tuple[Fraction, ...]]:
+        return self._view(self.scaled_ray)
+
+
+def lp_solve(objective, rows, rhs, bounds, sense="max", simplex=packed_simplex) -> LpAnswer:
+    """Optimize an integer objective c over {rows x = rhs, bounds} with an
+    integer simplex, the library's unless another constructor is given.
+    The simplex maximizes single columns only, so c becomes one more row
+    c.x - z = 0 over one more free column z: phase 1, then probe(z, 1)
+    for sense "max" or probe(z, -1) for "min".  The answer maps back:
+    point and ray are the first n entries, value is z, and dual and
+    Farkas vector are the first m entries.  z is free, so a checked
+    Farkas vector is 0 on the objective row.  For sense "min" the dual is
+    flipped, so the caller sees min-sense numbers."""
+    m, n = len(rows), len(bounds)
     sign = 1 if sense == "max" else -1
-    sx = simplex(rows, rhs, bounds)
+    sx = simplex(
+        [tuple(row) + (0,) for row in rows] + [tuple(objective) + (-1,)],
+        tuple(rhs) + (0,),
+        list(bounds) + [(None, None)],
+    )
     res = sx.phase1()
-    if res.status != "feasible":
-        return res
-    res = sx.reoptimize([sign * c for c in objective])
-    if res.status != "optimal":
-        return res
-    return replace(
-        res,
-        scaled_value=sign * res.scaled_value,
-        scaled_dual=tuple(sign * y for y in res.scaled_dual),
+    if res.status == "infeasible":
+        assert res.scaled_farkas[m] == 0
+        return LpAnswer(status="infeasible", den=res.den, scaled_farkas=res.scaled_farkas[:m])
+    res = sx.probe(n, sign)
+    if res.status == "unbounded":
+        return LpAnswer(status="unbounded", den=res.den, scaled_ray=res.scaled_ray[:n])
+    return LpAnswer(
+        status="optimal",
+        den=res.den,
+        scaled_value=res.scaled_point[n],
+        scaled_point=res.scaled_point[:n],
+        scaled_dual=tuple(sign * y for y in res.scaled_dual[:m]),
     )
 
 
@@ -184,14 +230,14 @@ class ListSimplex:
     row under the same update.  Ratios are compared as integer
     cross-products, so nothing is ever divided.
 
-    phase1 finds a feasible basis or a Farkas certificate; reoptimize then
-    maximizes any number of integer objectives in turn from the current
-    basis.  The artificial columns are kept for the whole solve; after
-    phase 1 they are fixed to zero, which both blocks re-entry and keeps
-    B^-1 readable off the tableau for the dual and Farkas certificates.
-    Every certificate is checked on den-scaled integers against the
-    original rows and den * rhs, and the LpResult carries those integers:
-    a Fraction is built only when one of its views is read.
+    phase1 finds a feasible basis or a Farkas certificate; probe then
+    maximizes dire * x_j for any number of columns j and signs dire in
+    turn from the current basis.  The artificial columns are kept for the
+    whole solve; after phase 1 they are fixed to zero, which both blocks
+    re-entry and keeps B^-1 readable off the tableau for the dual and
+    Farkas certificates.  Every certificate is checked on den-scaled
+    integers against the original rows and den * rhs, and the LpResult
+    carries those integers.
     """
 
     def __init__(self, rows, rhs, bounds):
@@ -357,7 +403,7 @@ class ListSimplex:
     def phase1(self) -> LpResult:
         """Drive the artificial columns to zero: an "infeasible" result with
         a checked Farkas vector, or a "feasible" one with a primal-checked
-        point, after which reoptimize may run."""
+        point, after which probe may run."""
         phase1 = [0] * self.n + [-1] * self.m
         out = self._optimize(phase1)
         if out[0] != "optimal":
@@ -374,22 +420,23 @@ class ListSimplex:
         self._check_primal(x)
         return LpResult(status="feasible", den=self.den, scaled_point=x)
 
-    def reoptimize(self, objective: Sequence[int]) -> LpResult:
-        """Maximize an integer objective from the current feasible basis.
-        Only valid after phase1 reported feasible."""
-        cost = list(objective) + [0] * self.m
+    def probe(self, j: int, dire: int) -> LpResult:
+        """Maximize dire * x_j, for dire = 1 or -1, from the current
+        feasible basis.  Only valid after phase1 reported feasible."""
+        cost = [0] * self.ncols
+        cost[j] = dire
         out = self._optimize(cost)
         if out[0] == "unbounded":
-            _, j, dire = out
+            _, k, d = out
             ray = [0] * self.ncols
-            ray[j] = dire * self.den
+            ray[k] = d * self.den
             for i in range(self.m):
-                ray[self.basis[i]] = -dire * self.tab[i][j]
+                ray[self.basis[i]] = -d * self.tab[i][k]
             ray = tuple(ray[: self.n])
-            self._check_ray(ray, objective)
+            self._check_ray(ray, cost)
             return LpResult(status="unbounded", den=self.den, scaled_ray=ray)
         x = tuple(self._scaled_values()[: self.n])
-        value = sum(map(mul, objective, x))
+        value = dire * x[j]
         y = tuple(self._dual(cost))
         self._check_optimal(x, value, y, cost)
         return LpResult(

@@ -360,6 +360,16 @@ def test_solve_cuww1_extended_root_prune(tmp_path):
     assert obj["nodes"] == 1
 
 
+def test_solve_s_needs_extended_formulation(tmp_path, capsys):
+    """--s names the long columns of --formulation ext; with orig or ahl
+    it would be ignored, so it is a usage error instead: exit 1 and one
+    `error:` line."""
+    path = write(tmp_path, "1 2\n3 5\n8\n")
+    for form in ([], ["--formulation", "orig"], ["--formulation", "ahl"]):
+        assert main(["solve", path, "--s", "1"] + form) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --s needs --formulation ext\n")
+
+
 def test_solve_node_limit_exits_3(tmp_path, capsys):
     gen = main(["gen-market-split", "--m", "2", "--seed", "1"])
     text = capsys.readouterr().out
@@ -448,6 +458,13 @@ def test_gen_market_split_deterministic(tmp_path, capsys):
 def test_gen_market_split_rejects_single_row(capsys):
     assert main(["gen-market-split", "--m", "1", "--seed", "1"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_market_split_memory_guard_exits_3(capsys):
+    assert main(["gen-market-split", "--m", "317", "--seed", "1"]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: m = 317 needs") and err.count("\n") == 1
 
 
 def test_compare_json(tmp_path):

@@ -17,6 +17,7 @@ from latref import (
 )
 from latref import solver
 from latref.exact import DomainError, IntMatrix, mat_mul, mat_vec, transpose
+from latref.knapsack import ResourceLimitError
 from latref.lattice import kernel_and_solution, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
@@ -26,7 +27,14 @@ from latref.reformulate import (
     dual_kernel,
     split_basis,
 )
-from support import ListSimplex, box_vertices, full_row_rank, lp_solve, random_decomposition
+from support import (
+    ListSimplex,
+    box_vertices,
+    full_row_rank,
+    lp_solve,
+    random_decomposition,
+    unpack,
+)
 
 CUWW1 = (12223, 12224, 36674, 61119, 85569)
 CUWW1_F = 89643481
@@ -192,7 +200,7 @@ def recording(cls, decode):
 
 
 def packed_rows(sx):
-    return [sx.unpack(row) for row in sx.tab]
+    return [unpack(sx, row) for row in sx.tab]
 
 
 def list_rows(sx):
@@ -258,20 +266,6 @@ def test_packed_simplex_matches_list_rows(lp, sense):
     assert got == ref
 
 
-def test_large_objective_widens_the_slots():
-    """Reduced costs grow with the objective, so reoptimize repacks the
-    tableau at a wider slot when the objective needs it, and answers as
-    the list-row reference does."""
-    rows, rhs, bounds = ((3, 5, -2),), (7,), ((0, 4), (0, 4), (0, 4))
-    objective = (10**20, -(10**20) + 1, 7)
-    sx = solver._Simplex(solver._LpRows(rows, rhs), bounds)
-    ref = ListSimplex(rows, rhs, bounds)
-    assert sx.phase1() == ref.phase1()
-    narrow = sx.w
-    assert sx.reoptimize(objective) == ref.reoptimize(objective)
-    assert sx.w > narrow
-
-
 def sylvester(order):
     h = [[1]]
     while len(h) < order:
@@ -286,32 +280,47 @@ def test_slots_hold_a_hadamard_determinant(order, scale):
     order^(order/2).  With free columns, every residual is the rhs itself,
     at its bound R_i = |b_i|; phase 1 makes every column basic, so den
     ends at |det|, a few bits below the top of a slot when the rhs is
-    small.  Every row decodes to the list-row reference after every pivot."""
+    small.  Phase 1 runs on these rows alone, so the slots are the ones
+    derived for them; every row decodes to the list-row reference after
+    every pivot, and so do the probes of x_0 that follow."""
     h = sylvester(order)
     rhs = [scale * row[0] for row in h]
-    objective = list(range(order))
-    got, packed_log, ref, listed_log = solve_both(objective, h, rhs, [(None, None)] * order)
+    bounds = [(None, None)] * order
+    packed, packed_log = recording(solver._Simplex, packed_rows)
+    listed, listed_log = recording(ListSimplex, list_rows)
+    sx, ref = packed(solver._LpRows(h, rhs), bounds), listed(h, rhs, bounds)
+    got = sx.phase1()
+    assert got == ref.phase1() and got.status == "feasible"
     assert packed_log == listed_log
-    assert got == ref and got.status == "optimal"
-    assert packed_log[-1][2] == order ** (order // 2)
-    assert got.point == (scale,) + (0,) * (order - 1)
-    sx = solver._Simplex(solver._LpRows(h, rhs), [(None, None)] * order)
+    det = order ** (order // 2)
+    assert packed_log[-1][2] == got.den == det
+    assert got.scaled_point == (scale * det,) + (0,) * (order - 1)
     if scale == 1:
-        assert sx.w - (order ** (order // 2)).bit_length() <= 5
+        assert sx.w - det.bit_length() <= 5
+    for dire in (1, -1):
+        r = sx.probe(0, dire)
+        assert r == ref.probe(0, dire) and r.scaled_value == dire * scale * det
+    assert packed_log == listed_log
+    assert lp_solve(list(range(order)), h, rhs, bounds).point == (scale,) + (0,) * (order - 1)
 
 
 @pytest.mark.parametrize("width", [16, 64, 128, 190])
 def test_too_narrow_slots_end_in_a_certificate_error(width, monkeypatch):
     """Slots narrower than the derived width (207 bits here) wrap the
-    large entries; the run must then fail a certificate check, not
-    answer."""
+    large entries; phase 1 and the probes of every column must then fail
+    a certificate check, not answer."""
     rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
     rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
     bounds = ((0, 3), (0, 3), (0, 3), (0, 3))
-    assert solver._Simplex(solver._LpRows(rows, rhs), bounds).w == 207
+    lp = solver._LpRows(rows, rhs)
+    assert solver._Simplex(lp, bounds).w == 207
     monkeypatch.setattr(solver, "_width", lambda bound_sq: width)
+    sx = solver._Simplex(lp, bounds)
     with pytest.raises(ArithmeticError, match="primal point violates|Farkas certificate"):
-        lp_solve((1, 1, 1, 1), rows, rhs, bounds)
+        sx.phase1()
+        for j in range(len(bounds)):
+            sx.probe(j, 1)
+            sx.probe(j, -1)
 
 
 def test_lp_negative_pivot(monkeypatch):
@@ -442,12 +451,12 @@ def test_bnb_pinned_node_limit_m3(monkeypatch):
 def test_bnb_lp_values_stay_exact(form, monkeypatch):
     """Integer rows and bounds go into the simplex as ints.  Its tableau,
     denominator and basic values stay ints through a whole search, and
-    every LP value and point entry it returns is a Fraction, never a
-    float."""
+    every LP value and point entry it returns is an int over an int
+    den > 0, never a float."""
     results = []
     tableaus = []
     real_phase1 = solver._Simplex.phase1
-    real = solver._Simplex.reoptimize
+    real = solver._Simplex.probe
 
     def phase1_spy(self):
         r = real_phase1(self)
@@ -455,13 +464,13 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
         tableaus.append(self)
         return r
 
-    def spy(self, objective):
-        r = real(self, objective)
+    def spy(self, j, dire):
+        r = real(self, j, dire)
         results.append(r)
         return r
 
     monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
-    monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
+    monkeypatch.setattr(solver._Simplex, "probe", spy)
     if form == "original":
         bnb_feasibility(gen_market_split(2, 1))
     else:
@@ -470,13 +479,14 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
     optimal = [r for r in results if r.status == "optimal"]
     feasible = [r for r in results if r.status == "feasible"]
     assert optimal and feasible
-    for r in optimal:
-        assert type(r.value) is F
     for r in optimal + feasible:
-        assert all(type(v) is F for v in r.point)
+        assert type(r.den) is int and r.den > 0
+        assert all(type(v) is int for v in r.scaled_point)
+    for r in optimal:
+        assert type(r.scaled_value) is int
     for sx in tableaus:
         assert type(sx.den) is int and sx.den > 0
-        rows = [sx.unpack(row) for row in sx.tab]
+        rows = [unpack(sx, row) for row in sx.tab]
         assert all(type(v) is int for row in rows for v in row)
         # slot 0 is beta = den * x_B, then one slot per column
         assert all(len(row) == sx.ncols + 1 for row in rows)
@@ -486,16 +496,17 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
 
 
 def test_bnb_node_lp_is_phase1(monkeypatch):
-    """A node's feasibility LP is phase 1 alone: reoptimize runs only for
-    the two range probes of a branching node, never with a zero objective."""
+    """A node's feasibility LP is phase 1 alone: probe runs only for the
+    two range probes of a branching node, one up and one down on the same
+    column."""
     calls = []
     feasible = []
-    real = solver._Simplex.reoptimize
+    real = solver._Simplex.probe
     real_phase1 = solver._Simplex.phase1
 
-    def spy(self, objective):
-        calls.append((self, tuple(objective)))
-        return real(self, objective)
+    def spy(self, j, dire):
+        calls.append((self, j, dire))
+        return real(self, j, dire)
 
     def phase1_spy(self):
         r = real_phase1(self)
@@ -503,17 +514,19 @@ def test_bnb_node_lp_is_phase1(monkeypatch):
             feasible.append(self)
         return r
 
-    monkeypatch.setattr(solver._Simplex, "reoptimize", spy)
+    monkeypatch.setattr(solver._Simplex, "probe", spy)
     monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
     r = bnb_feasibility(gen_market_split(2, 1))
     assert r.status == "infeasible"
-    assert not any(all(c == 0 for c in obj) for _, obj in calls)
     # the search found no integer point, so every feasible node point was
     # fractional and its node branched
     assert 0 < len(feasible) <= r.nodes
     assert len(calls) == 2 * len(feasible)
+    for up, down in zip(calls[::2], calls[1::2]):
+        assert up[0] is down[0] and up[1] == down[1]
+        assert (up[2], down[2]) == (1, -1)
     # the spies keep every tableau alive, so ids are distinct per node
-    assert {id(sx) for sx, _ in calls} == {id(sx) for sx in feasible}
+    assert {id(sx) for sx, _, _ in calls} == {id(sx) for sx in feasible}
 
 
 @pytest.mark.parametrize("form", ["original", "extended"])
@@ -559,21 +572,26 @@ def test_bnb_child_lps_stay_feasible_m2(seed, monkeypatch):
     assert set(statuses) == {"feasible"}
 
 
-class NoFraction:
-    def __new__(cls, *args, **kwargs):
+def test_bnb_builds_no_fraction(monkeypatch):
+    """A search reads the simplex's integers alone: with both ways of
+    building a Fraction made to raise, in any module, the pinned searches
+    still end the same.  The constructor runs __new__; from Python 3.12 on,
+    Fraction arithmetic builds its results by _from_coprime_ints instead."""
+    m2, m3 = gen_market_split(2, 1), gen_market_split(3, 1)
+    sys_ = knapsack_system(CUWW1, CUWW1_F + 1)
+    ef = detect_decomposition(sys_, FixedSplit(1)).formulation
+
+    def refuse(cls, *args, **kwargs):
         raise AssertionError("branch and bound built a Fraction")
 
-
-def test_bnb_builds_no_fraction(monkeypatch):
-    """A search reads the simplex's integers alone: with every Fraction in
-    latref.solver made to raise, the pinned searches still end the same."""
-    monkeypatch.setattr(solver, "Fraction", NoFraction)
-    r = bnb_feasibility(gen_market_split(2, 1))
+    monkeypatch.setattr(F, "__new__", refuse)
+    if hasattr(F, "_from_coprime_ints"):
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(refuse))
+    r = bnb_feasibility(m2)
     assert (r.status, r.nodes) == ("infeasible", 89)
-    r = bnb_feasibility(gen_market_split(3, 1), None, BnbConfig(node_limit=100))
+    r = bnb_feasibility(m3, None, BnbConfig(node_limit=100))
     assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
-    sys_ = knapsack_system(CUWW1, CUWW1_F + 1)
-    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+    r = bnb_feasibility(sys_, ef)
     assert r.status == "feasible" and sum(a * x for a, x in zip(CUWW1, r.x)) == CUWW1_F + 1
 
 
@@ -631,6 +649,19 @@ def test_gen_market_split_deterministic():
 def test_gen_market_split_domain():
     with pytest.raises(DomainError):
         gen_market_split(1, 1)
+
+
+def test_gen_market_split_memory_guard(monkeypatch):
+    """m = 316 is the last size within 10^6 entries; m = 317 is refused
+    before a single entry is drawn."""
+    assert 316 * 10 * 315 <= solver.MARKET_SPLIT_ENTRY_GUARD < 317 * 10 * 316
+
+    def no_stream(seed):
+        raise AssertionError("an entry was drawn")
+
+    monkeypatch.setattr(solver, "_splitmix64", no_stream)
+    with pytest.raises(ResourceLimitError, match="317"):
+        gen_market_split(317, 1)
 
 
 def test_market_split_vs_enumeration():
