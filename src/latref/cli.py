@@ -213,9 +213,9 @@ def _fmt_matrix(m: IntMatrix, indent: str = "  ") -> str:
     )
 
 
-def _knapsack_row(sys_: EqualitySystem, parser) -> None:
+def _knapsack_row(sys_: EqualitySystem) -> None:
     if sys_.m != 1:
-        parser.error("this command needs a single-row instance (m = 1)")
+        raise ParseError(0, 0, "this command needs a single-row instance (m = 1)")
 
 
 def _split_policy(args) -> object:
@@ -243,7 +243,7 @@ def _policy_name(policy) -> str:
     return "ratio(%s)" % policy.rho
 
 
-def _cmd_reformulate(args, parser) -> int:
+def _cmd_reformulate(args) -> int:
     sys_ = _read_system(args.file)
     policy = _split_policy(args)
     det = detect_decomposition(sys_, policy)
@@ -290,17 +290,17 @@ def _cmd_reformulate(args, parser) -> int:
     return EXIT_OK
 
 
-def _decompose_single_row(args, parser):
+def _decompose_single_row(args):
     sys_ = _read_system(args.file)
-    _knapsack_row(sys_, parser)
+    _knapsack_row(sys_)
     det = detect_decomposition(sys_, FixedSplit(1))
     if det.decomposition is None:
         raise ValidationError(det.decomposition_error or "no decomposition found")
     return sys_, det.decomposition
 
 
-def _cmd_width(args, parser) -> int:
-    sys_, d = _decompose_single_row(args, parser)
+def _cmd_width(args) -> int:
+    sys_, d = _decompose_single_row(args)
     wa = width_bounds(d)
     wv = integer_width(d, args.b)
     obj = {
@@ -323,8 +323,8 @@ def _cmd_width(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_frobenius_bound(args, parser) -> int:
-    sys_, d = _decompose_single_row(args, parser)
+def _cmd_frobenius_bound(args) -> int:
+    sys_, d = _decompose_single_row(args)
     fb = frobenius_lower_bound(d)
     obj = {
         "case": fb.case_tag,
@@ -343,9 +343,9 @@ def _cmd_frobenius_bound(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_frobenius_exact(args, parser) -> int:
+def _cmd_frobenius_exact(args) -> int:
     sys_ = _read_system(args.file)
-    _knapsack_row(sys_, parser)
+    _knapsack_row(sys_)
     value = frobenius_exact(sys_.a.row(0))
     if _write_json({"frobenius": value}, args.json):
         return EXIT_OK
@@ -353,7 +353,7 @@ def _cmd_frobenius_exact(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args, parser) -> int:
+def _cmd_solve(args) -> int:
     if args.s is not None and args.formulation != "ext":
         raise ParseError(0, 0, "--s needs --formulation ext")
     sys_ = _read_system(args.file)
@@ -388,7 +388,7 @@ def _cmd_solve(args, parser) -> int:
     return EXIT_OK if res.status == "feasible" else EXIT_INFEASIBLE
 
 
-def _cmd_gen_market_split(args, parser) -> int:
+def _cmd_gen_market_split(args) -> int:
     sys_ = gen_market_split(args.m, args.seed)
     text = emit_instance(sys_)
     if args.output is None or args.output == "-":
@@ -399,12 +399,12 @@ def _cmd_gen_market_split(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args, parser) -> int:
+def _cmd_compare(args) -> int:
     sys_ = _read_system(args.file)
     try:
         s_values = [int(tok) for tok in args.s_list.split(",") if tok]
     except ValueError:
-        parser.error("--s expects a comma-separated list of integers")
+        raise ParseError(0, 0, "--s expects a comma-separated list of integers") from None
     table = compare_formulations(sys_, s_values, BnbConfig(node_limit=args.node_limit))
     if not _write_json(table.to_json_obj(), args.json):
         print(table.to_text())
@@ -480,10 +480,9 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    parser = _PARSER
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

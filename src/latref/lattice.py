@@ -3,10 +3,12 @@
 Integral LLL reduction (integer Gram-Schmidt data, its rows built lazily
 because input bases can have huge entries while reduced ones are small),
 column-style Hermite normal form with transformation matrix, integer
-kernel bases from the echelon transform, and the weighted LLL embedding
-that gives every reduced kernel the pipeline uses: with a right-hand side
-for kernel_and_solution on A x = b, without one for the dual kernel of the
-short block R.
+kernel bases from the echelon transform, exact integer solves (forward
+substitution through a triangular matrix, rows of the inverse of a
+unimodular matrix), and the weighted LLL embedding that gives the
+pipeline its one reduced kernel: kernel_and_solution runs it on A x = b,
+and build_extended reads the lattice orthogonal to the short block off
+the inverse of that kernel basis, completed by the Hermite transform.
 """
 
 from dataclasses import dataclass
@@ -230,6 +232,44 @@ def forward_substitute(rows, rhs) -> Optional[List[int]]:
     return y
 
 
+def inverse_rows(u: IntMatrix, idx) -> Optional[List[IntVector]]:
+    """Rows idx of U^-1 for a square integer U with det U = ±1.
+
+    Solves y U = e_i for every i in idx by fraction-free (Bareiss)
+    elimination on U^T with the unit vectors appended, every division
+    exact, then back-substitutes; det U = ±1 makes every solution
+    integral, so those divisions are exact too.  A zero pivot at step k
+    means row k of U depends on rows 0..k-1 and raises RankError; returns
+    None when |det U| != 1.
+    """
+    n = u.rows
+    w = [list(u.col(k)) + [1 if k == i else 0 for i in idx] for k in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if w[i][k]), None)
+        if p is None:
+            raise RankError("row %d of U is linearly dependent on earlier rows" % k, index=k)
+        w[k], w[p] = w[p], w[k]
+        wk = w[k]
+        piv = wk[k]
+        for i in range(k + 1, n):
+            wi = w[i]
+            f = wi[k]
+            tail = zip(wi[k + 1 :], wk[k + 1 :])
+            w[i] = wi[: k + 1] + [(piv * x - f * y) // prev for x, y in tail]
+        prev = piv
+    if abs(prev) != 1:
+        return None
+    rows = []
+    for c in range(n, n + len(idx)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            wk = w[k]
+            y[k] = (wk[c] - sum(map(mul, wk[k + 1 : n], y[k + 1 :]))) // wk[k]
+        rows.append(tuple(y))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Kernel lattice basis plus particular solution of A x = b
 
@@ -256,12 +296,13 @@ def kernel_and_solution(a: IntMatrix, b, strategy: str = "embedding") -> KernelS
     """Compute a reduced kernel basis of A together with a solution of A x = b.
 
     strategy "embedding" runs LLL once on an (n+m+1) x (n+1) weighted
-    embedding whose reduced basis exposes both the kernel and the solution
-    (reformulate.dual_kernel runs the same reduction on R^T, without the
-    solution column); strategy "hnf" takes the kernel columns from the HNF
-    transformation matrix and forward-substitutes through D for the
-    solution.  Both reduce at the default delta 3/4 and agree on the kernel
-    lattice and on scale_k, which the test suite cross-checks.
+    embedding whose reduced basis exposes both the kernel and the solution;
+    it is the one lattice reduction of the pipeline, since build_extended
+    reads P off the inverse of the completed kernel basis instead of
+    reducing a second embedding.  Strategy "hnf" takes the kernel columns
+    from the HNF transformation matrix and forward-substitutes through D
+    for the solution.  Both reduce at the default delta 3/4 and agree on
+    the kernel lattice and on scale_k, which the test suite cross-checks.
     """
     b = vec(b)
     if len(b) != a.rows:

@@ -10,7 +10,7 @@ two-generator decomposition of the row, which the knapsack module turns
 into width and Frobenius statements.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .exact import (
@@ -27,8 +27,11 @@ from .exact import (
 )
 from .knapsack import Decomposition, ValidationError, make_decomposition
 from .lattice import (
+    HnfResult,
     _reduce_embedding,
+    forward_substitute,
     hnf,
+    inverse_rows,
     kernel_and_solution,
     kernel_basis,
     lll_reduce,
@@ -55,13 +58,16 @@ class EqualitySystem:
     """A x = b with optional per-variable integer bounds.
 
     A must have full row rank; bounds, when present, cover every variable
-    with int entries (use None entries for unbounded directions).
+    with int entries (use None entries for unbounded directions).  hermite
+    is the Hermite form A u = (D | 0) that checks the rank; build_extended
+    completes a kernel basis with the first m columns of u.
     """
 
     a: IntMatrix
     b: IntVector
     var_lower: Optional[tuple] = None
     var_upper: Optional[tuple] = None
+    hermite: HnfResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", vec(self.b))
@@ -83,7 +89,7 @@ class EqualitySystem:
             for lo, hi in zip(self.var_lower, self.var_upper):
                 if lo is not None and hi is not None and lo > hi:
                     raise DomainError("variable bounds cross: %s > %s" % (lo, hi))
-        hnf(self.a)  # full row rank or RankError
+        object.__setattr__(self, "hermite", hnf(self.a))  # full row rank or RankError
 
     @property
     def m(self) -> int:
@@ -186,25 +192,34 @@ def split_basis(q: IntMatrix, policy) -> BasisSplit:
 def dual_kernel(r: IntMatrix) -> IntMatrix:
     """Reduced basis of {y integer | R^T y = 0}, as columns of an n x (n-r) matrix.
 
-    The kernel comes from the same LLL-reduced weighted embedding that
-    kernel_and_solution uses, on R^T with no right-hand side, so its
-    entries stay small.  LLL on R itself first checks exactly that the
-    columns of R are independent and raises RankError otherwise.  For an
-    empty R this is all of Z^n and the identity is returned.
+    A standalone helper, off the pipeline (build_extended reads its P off
+    the completed kernel basis instead): the kernel comes from the
+    LLL-reduced weighted embedding that kernel_and_solution uses, run on
+    R^T with no right-hand side, so its entries stay small.  LLL on R
+    itself first checks exactly that the columns of R are independent and
+    raises RankError otherwise.  For an empty R this is all of Z^n and the
+    identity is returned.
     """
     n = r.rows
     if r.cols == 0:
         return identity(n)
     lll_reduce(r)
     kernel_cols, _ = _reduce_embedding(transpose(r))
-    # Negating a column changes neither reducedness nor the lattice; fixing
-    # the sign of the trailing entry makes the output deterministic up to
-    # the order LLL settles on.
-    cols = []
-    for c in kernel_cols:
+    return IntMatrix.from_cols(_last_nonzero_positive(kernel_cols), rows=n)
+
+
+def _last_nonzero_positive(cols):
+    """Negate each column whose last nonzero entry is negative.
+
+    Negating a column changes neither reducedness nor the lattice; fixing
+    the sign of the trailing entry makes a reduced basis deterministic up
+    to the order LLL settles on.
+    """
+    out = []
+    for c in cols:
         last = next((x for x in reversed(c) if x != 0), 0)
-        cols.append(tuple(-x for x in c) if last < 0 else c)
-    return IntMatrix.from_cols(cols, rows=n)
+        out.append(tuple(-x for x in c) if last < 0 else c)
+    return out
 
 
 def solve_multipliers(p: IntMatrix, a: IntMatrix) -> IntMatrix:
@@ -229,12 +244,19 @@ def solve_multipliers(p: IntMatrix, a: IntMatrix) -> IntMatrix:
 def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> ExtendedFormulation:
     """Assemble the extended formulation for a chosen kernel split.
 
-    P spans the dual of the short block (dual_kernel: the kernel of R^T
-    from the LLL embedding at delta 3/4 that kernel_and_solution runs on A),
-    M recombines A = M P, T = P S.  The rows of P generate all of Z^{m+s},
-    which the integer-equivalence statements downstream rely on;
-    solve_multipliers checks that on the one Hermite form of P it takes and
-    raises IntegralityError when it fails.
+    P is a reduced basis of {y integer | y R = 0}, the lattice orthogonal
+    to the short block R, read off the kernel basis already in hand
+    (Cohen 1993, 2.4-2.7).  With V0 the first m columns of the Hermite
+    transform of A (A V0 = D), U = [R | S | V0] is unimodular exactly when
+    q is a basis of the whole kernel lattice, and the rows of U^-1 at the
+    S and V0 positions are a basis of that lattice.  The V0 rows are
+    D^-1 A; the s rows at S come from one exact solve (inverse_rows).
+    LLL at delta 3/4 reduces the m+s rows.  An empty R gives P = I.  A
+    dependent q raises RankError, and a q that spans only a sublattice
+    (|det U| != 1) raises IntegralityError.  M recombines A = M P and
+    T = P S; solve_multipliers checks on the one Hermite form of P it
+    takes that the rows of P generate all of Z^{m+s}, which the
+    integer-equivalence statements downstream rely on.
     """
     x0 = vec(x0)
     if mat_vec(sys.a, x0) != sys.b:
@@ -247,7 +269,22 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> 
     if own != got:
         raise ValidationError("split columns do not match the kernel basis")
 
-    p = transpose(dual_kernel(split.short))
+    if split.r == 0:
+        p = identity(sys.n)
+    else:
+        m, n, r = sys.m, sys.n, split.r
+        hf = sys.hermite
+        u = IntMatrix.from_cols(
+            split.short.col_list() + split.long.col_list() + [hf.u.col(j) for j in range(m)],
+            rows=n,
+        )
+        rows = inverse_rows(u, range(r, r + split.s))
+        if rows is None:
+            raise IntegralityError("kernel basis spans a sublattice of the kernel (|det U| != 1)")
+        d_inv_a = [forward_substitute(hf.d.data, sys.a.col(j)) for j in range(n)]
+        rows += zip(*d_inv_a)
+        reduced = lll_reduce(IntMatrix.from_cols(rows, rows=n))
+        p = IntMatrix.from_rows(_last_nonzero_positive(reduced.col_list()), cols=n)
     m_mat = solve_multipliers(p, sys.a)
     t = mat_mul(p, split.long)
     return ExtendedFormulation(p, m_mat, t, x0, split.s, mat_vec(p, x0))

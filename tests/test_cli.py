@@ -274,11 +274,15 @@ def test_width_text_report(tmp_path, capsys):
     )
 
 
-def test_width_rejects_multirow(tmp_path):
+SINGLE_ROW_ERROR = "error: this command needs a single-row instance (m = 1)\n"
+
+
+def test_width_rejects_multirow(tmp_path, capsys):
+    """A usage error found after parsing prints one `error:` line, not
+    argparse's usage block, and exits 1."""
     path = write(tmp_path, TWOROW_TEXT)
-    with pytest.raises(SystemExit) as ei:
-        main(["width", path, "--b", "5"])
-    assert ei.value.code == EXIT_USAGE
+    assert main(["width", path, "--b", "5"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", SINGLE_ROW_ERROR)
 
 
 def test_frobenius_bound_cuww1(tmp_path):
@@ -487,11 +491,10 @@ def test_compare_node_limit_exits_3(tmp_path):
     assert by["ext s=1"] == "infeasible"
 
 
-def test_compare_rejects_bad_s_list(tmp_path):
+def test_compare_rejects_bad_s_list(tmp_path, capsys):
     path = write(tmp_path, "1 2\n2 3\n7\n")
-    with pytest.raises(SystemExit) as ei:
-        main(["compare", path, "--s", "1,x"])
-    assert ei.value.code == EXIT_USAGE
+    assert main(["compare", path, "--s", "1,x"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --s expects a comma-separated list of integers\n")
 
 
 def test_missing_file_reports_usage(capsys):
@@ -500,12 +503,11 @@ def test_missing_file_reports_usage(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_knapsack_commands_need_single_row(tmp_path):
+def test_knapsack_commands_need_single_row(tmp_path, capsys):
     path = write(tmp_path, TWOROW_TEXT)
     for cmd in (["frobenius-bound"], ["frobenius-exact"]):
-        with pytest.raises(SystemExit) as ei:
-            main(cmd + [path])
-        assert ei.value.code == EXIT_USAGE
+        assert main(cmd + [path]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", SINGLE_ROW_ERROR)
 
 
 def test_main_builds_parser_once(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from latref.lattice import (
     LLLParams,
     forward_substitute,
     hnf,
+    inverse_rows,
     kernel_and_solution,
     kernel_basis,
     lll_reduce,
@@ -355,6 +356,41 @@ def test_forward_substitute():
     assert forward_substitute(d, (3, 5)) is None
     assert forward_substitute(d, (4, 4)) is None
     assert forward_substitute((), ()) == []
+
+
+def random_unimodular(rng, n, steps=40):
+    """Identity scrambled by row swaps and row additions: det = ±1."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            continue
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            f = rng.randint(-3, 3)
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def test_inverse_rows():
+    """Rows of U^-1 solve y U = e_i; a singular U raises RankError naming
+    the first row that depends on earlier rows, and |det U| != 1 returns
+    None."""
+    rng = random.Random(61)
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        u = random_unimodular(rng, n)
+        idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+        rows = inverse_rows(u, idx)
+        assert len(rows) == len(idx)
+        for i, y in zip(idx, rows):
+            assert mat_vec(transpose(u), y) == tuple(1 if k == i else 0 for k in range(n))
+    assert inverse_rows(IntMatrix.from_rows([(2, 1), (1, 2)]), [0]) is None  # det 3
+    assert inverse_rows(IntMatrix.from_rows([(0, 1), (1, 0)]), [0, 1]) == [(0, 1), (1, 0)]
+    with pytest.raises(RankError) as ei:
+        inverse_rows(IntMatrix.from_cols([(1, 2, 0), (0, 1, 1), (1, 2, 0)]), [0])
+    assert ei.value.index == 2
 
 
 def test_solve_integer():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from latref.exact import (
     norm_sq,
     transpose,
 )
-from latref import reformulate
 from latref.lattice import kernel_and_solution, kernel_basis, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
@@ -167,8 +167,8 @@ def test_dual_kernel_rejects_repeated_column():
 
 def test_dual_kernel_entries_stay_small_at_m6():
     """At m=6 the unreduced echelon kernel basis of R^T has about a
-    million bits per entry and takes half a minute to build; dual_kernel
-    must keep P small."""
+    million bits per entry and takes half a minute to build; the P of
+    the pipeline must stay small."""
     p = detect_decomposition(gen_market_split(6, 1), FixedSplit(1)).formulation.p
     assert max(abs(e).bit_length() for row in p.data for e in row) <= 16
 
@@ -217,20 +217,81 @@ def test_build_extended_ahl_and_degenerate():
     assert mat_mul(flat.m_mat, flat.p).data == sys_.a.data
 
 
-def test_build_extended_rejects_non_primitive_p(monkeypatch):
-    """A P whose rows miss part of Z^{m+s} is reported, not rescaled away."""
-    real = reformulate.dual_kernel
-
-    def doubled(r):
-        cols = real(r).col_list()
-        cols[0] = tuple(2 * x for x in cols[0])
-        return IntMatrix.from_cols(cols, rows=r.rows)
-
-    monkeypatch.setattr(reformulate, "dual_kernel", doubled)
+def _tworow_split(edit, s):
+    """The two-row system with its kernel basis edited in place by edit."""
     sys_ = EqualitySystem(TWOROW_A, TWOROW_B)
     ks = kernel_and_solution(sys_.a, sys_.b)
-    with pytest.raises(IntegralityError):
-        build_extended(sys_, split_basis(ks.q, FixedSplit(1)), ks.q, ks.x0)
+    cols = ks.q.col_list()
+    edit(cols)
+    q = IntMatrix.from_cols(cols, rows=sys_.n)
+    return sys_, split_basis(q, FixedSplit(s)), q, ks.x0
+
+
+def test_build_extended_rejects_kernel_sublattice():
+    """A q with one column doubled spans a sublattice of the kernel, so
+    |det [R | S | V0]| = 2: reported, not rescaled away, wherever the
+    doubled column lands."""
+    for j in range(3):
+        for s in (1, 2):
+
+            def double(cols):
+                cols[j] = tuple(2 * x for x in cols[j])
+
+            with pytest.raises(IntegralityError, match="sublattice"):
+                build_extended(*_tworow_split(double, s))
+
+
+def test_build_extended_rejects_dependent_kernel():
+    """A q with a repeated column makes [R | S | V0] singular."""
+
+    def repeat(cols):
+        cols[1] = cols[0]
+
+    for s in (1, 2):
+        with pytest.raises(RankError):
+            build_extended(*_tworow_split(repeat, s))
+
+
+def planted_knapsack(rng, n=5):
+    """A coprime row in the shape of CUWW1 = 12225 p1 + 12224 p2: (M + 1) p1
+    + M p2 with M in [10^4, 1.4 10^4], p1 in [-1, 2]^n, p2 in [1, 6]^n."""
+    while True:
+        m = rng.randint(10_000, 14_000)
+        p1 = [rng.randint(-1, 2) for _ in range(n)]
+        p2 = [rng.randint(1, 6) for _ in range(n)]
+        a = [(m + 1) * u + m * v for u, v in zip(p1, p2)]
+        if min(a) > 0 and math.gcd(*a) == 1 and len(set(a)) == n:
+            return a
+
+
+def _orthogonal_lattice_cases():
+    """(system, s): market split m=2..4 at s = 1, d//2 and d-1, CUWW1 and
+    20 planted knapsacks at s = 1."""
+    for m in (2, 3, 4):
+        sys_ = gen_market_split(m, 1)
+        d = sys_.n - m
+        for s in (1, d // 2, d - 1):
+            yield sys_, s
+    yield EqualitySystem(IntMatrix.from_rows([CUWW1]), (89643481,)), 1
+    rng = random.Random(4242)
+    for _ in range(20):
+        a = planted_knapsack(rng)
+        yield EqualitySystem(IntMatrix.from_rows([a]), (sum(a),)), 1
+
+
+def test_build_extended_p_matches_dual_kernel():
+    """P read off the completed kernel basis spans the lattice that
+    dual_kernel's second LLL embedding gives, annihilates R and is
+    LLL-reduced."""
+    for sys_, s in _orthogonal_lattice_cases():
+        ks = kernel_and_solution(sys_.a, sys_.b)
+        split = split_basis(ks.q, FixedSplit(s))
+        p = build_extended(sys_, split, ks.q, ks.x0).p
+        pt = transpose(p)
+        assert p.rows == sys_.m + s
+        assert lattice_hnf(pt).data == lattice_hnf(dual_kernel(split.short)).data
+        assert not any(e for row in mat_mul(p, split.short).data for e in row)
+        assert is_lll_reduced(pt)
 
 
 def test_equivalence_small_ahl():

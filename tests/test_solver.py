@@ -403,10 +403,10 @@ def test_bnb_determinism():
 # answers.  The ext s=8 row reuses the ahl search (s = n - m = 8), so
 # its pivots count once.
 PINNED_M2 = {
-    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 516),
+    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 511),
     2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0), 371),
     3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8), 1005),
-    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 524),
+    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 531),
     5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0), 548),
 }
 
