@@ -251,9 +251,10 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> 
     q is a basis of the whole kernel lattice, and the rows of U^-1 at the
     S and V0 positions are a basis of that lattice.  The V0 rows are
     D^-1 A; the s rows at S come from one exact solve (inverse_rows).
-    LLL at delta 3/4 reduces the m+s rows.  An empty R gives P = I.  A
-    dependent q raises RankError, and a q that spans only a sublattice
-    (|det U| != 1) raises IntegralityError.  M recombines A = M P and
+    LLL at delta 3/4 reduces the m+s rows.  An empty R gives P = I, after
+    the same check of U with no rows solved for.  A dependent q raises
+    RankError, and a q that spans only a sublattice (|det U| != 1) raises
+    IntegralityError, whatever s is.  M recombines A = M P and
     T = P S; solve_multipliers checks on the one Hermite form of P it
     takes that the rows of P generate all of Z^{m+s}, which the
     integer-equivalence statements downstream rely on.
@@ -269,18 +270,18 @@ def build_extended(sys: EqualitySystem, split: BasisSplit, q: IntMatrix, x0) -> 
     if own != got:
         raise ValidationError("split columns do not match the kernel basis")
 
-    if split.r == 0:
-        p = identity(sys.n)
+    m, n, r = sys.m, sys.n, split.r
+    hf = sys.hermite
+    u = IntMatrix.from_cols(
+        split.short.col_list() + split.long.col_list() + [hf.u.col(j) for j in range(m)],
+        rows=n,
+    )
+    rows = inverse_rows(u, range(r, r + split.s) if r else ())
+    if rows is None:
+        raise IntegralityError("kernel basis spans a sublattice of the kernel (|det U| != 1)")
+    if r == 0:
+        p = identity(n)
     else:
-        m, n, r = sys.m, sys.n, split.r
-        hf = sys.hermite
-        u = IntMatrix.from_cols(
-            split.short.col_list() + split.long.col_list() + [hf.u.col(j) for j in range(m)],
-            rows=n,
-        )
-        rows = inverse_rows(u, range(r, r + split.s))
-        if rows is None:
-            raise IntegralityError("kernel basis spans a sublattice of the kernel (|det U| != 1)")
         d_inv_a = [forward_substitute(hf.d.data, sys.a.col(j)) for j in range(n)]
         rows += zip(*d_inv_a)
         reduced = lll_reduce(IntMatrix.from_cols(rows, rows=n))

@@ -9,9 +9,13 @@ is packed into one Python int at a slot width derived from Hadamard's
 bound (Kronecker substitution), so a row update is one big-integer
 expression instead of a loop over its entries.  An LpResult holds
 those integers and their denominator.  Branch and bound is the simplex's
-only caller and reads the integers alone: phase 1 is each node's
-feasibility LP, and two probes from its feasible basis maximize and
-minimize the chosen branching variable.
+only caller and reads the integers alone: phase 1 is the root's
+feasibility LP, two probes from a node's feasible basis maximize and
+minimize the chosen branching variable, and each child starts from the
+basis of the probe toward its side, which a bounded dual simplex repairs
+after the one bound that changed (the reoptimisation of exact LP codes:
+QSopt_ex, Applegate, Cook, Dash and Espinoza 2007; Koberstein 2005 for
+bounded variables).
 
 Variables are addressed by name: "x0", "x1", ... for the structural columns
 and "mu0", "mu1", ... for the multipliers of an extended formulation.
@@ -100,6 +104,23 @@ def _width(bound_sq: int) -> int:
     return (bound_sq.bit_length() + 1) // 2 + 1
 
 
+def _slot_width(lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> int:
+    """The slot width a tableau over lp needs while every nonbasic column
+    sits inside bounds (see _Simplex)."""
+    # H^2 by Hadamard, from the largest residual each row can reach;
+    # reach is max(|lo|, |hi|) over the finite bounds, as lo <= hi
+    reach = [
+        (hi if hi >= -lo else -lo) if lo is not None and hi is not None else abs(lo or hi or 0)
+        for lo, hi in bounds
+    ]
+    h_sq = 1
+    for absrow, norm, r in zip(lp.abs_rows, lp.norms, lp.rhs):
+        resid = abs(r) + sum(map(mul, absrow, reach))
+        h_sq *= norm + resid * resid
+    # the widest cost is phase 1's, with ||c||^2 = m
+    return _width(h_sq * max(1, len(lp.rows)))
+
+
 class _Simplex:
     """Bounded-variable two-phase simplex on a fraction-free integer tableau.
 
@@ -125,9 +146,11 @@ class _Simplex:
     way with slot 0 kept at zero; its entries are (m+1)-minors that take in
     the cost row, at most H ||c||.  The widest cost is phase 1's, with
     ||c||^2 = m, as a probe's has norm 1, so w = bitlength(H sqrt(max(1,
-    m))) + 1, fixed at construction, holds every decoded value.  Values in
-    between, such as piv*row, need not fit a slot: the packed identities
-    are exact for any integers.
+    m))) + 1, fixed at construction, holds every decoded value.  The same
+    bound holds after tighten narrows a column, with the residuals the new
+    bounds allow; fits checks it against w.  Values in between, such as
+    piv*row, need not fit a slot: the packed identities are exact for any
+    integers.
 
     A pivot on (i, j) is the Bareiss update T'[k] = (piv*T[k] -
     T[k][j]*T[i]) // den, one big-integer expression per row, whose
@@ -141,16 +164,21 @@ class _Simplex:
 
     phase1 finds a feasible basis or a Farkas certificate; probe then
     maximizes dire * x_j for any number of columns j and signs dire in
-    turn from the current basis.  The artificial columns are kept for the
-    whole solve; after phase 1 they are fixed to zero, which both blocks
-    re-entry and keeps B^-1 readable off the tableau for the dual and
-    Farkas certificates.  Every certificate is checked on den-scaled
-    integers against the original rows and den * rhs, and the LpResult
-    carries those integers.
+    turn from the current basis.  tighten narrows one column's bounds and
+    repairs the basis by a zero-cost dual simplex, ending in a feasible
+    basis for further probes or in a Farkas certificate; fork copies a
+    tableau so that two children can start from it, and fits tells
+    whether the slots still cover a child's bounds.  The artificial
+    columns are kept for the whole solve; after phase 1 they are fixed to
+    zero, which both blocks re-entry and keeps B^-1 readable off the
+    tableau for the dual and Farkas certificates.  Every certificate is
+    checked on den-scaled integers against the original rows and den *
+    rhs, and the LpResult carries those integers.
     """
 
     def __init__(self, lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
-        self.rows, self.rhs, self.cols, self.bounds = lp.rows, lp.rhs, lp.cols, bounds
+        self.lp, self.bounds = lp, bounds
+        self.rows, self.rhs, self.cols = lp.rows, lp.rhs, lp.cols
         m = self.m = len(lp.rows)
         n = self.n = len(bounds)
         self.ncols = n + m
@@ -164,18 +192,7 @@ class _Simplex:
             lo if lo is not None else hi if hi is not None else 0 for lo, hi in bounds
         ] + [0] * m
         self.fixed = [lo is not None and lo == hi for lo, hi in bounds] + [False] * m
-        # H^2 by Hadamard, from the largest residual each row can reach;
-        # reach is max(|lo|, |hi|) over the finite bounds, as lo <= hi
-        reach = [
-            (hi if hi >= -lo else -lo) if lo is not None and hi is not None else abs(lo or hi or 0)
-            for lo, hi in bounds
-        ]
-        h_sq = 1
-        for absrow, norm, r in zip(lp.abs_rows, lp.norms, lp.rhs):
-            resid = abs(r) + sum(map(mul, absrow, reach))
-            h_sq *= norm + resid * resid
-        # the widest cost is phase 1's, with ||c||^2 = m
-        w = self.w = _width(h_sq * max(1, m))
+        w = self.w = _slot_width(lp, bounds)
         self.half = 1 << (w - 1)
         self.mask = (1 << w) - 1
         self.wide = (1 << (w + 1)) - 1
@@ -268,15 +285,20 @@ class _Simplex:
                 return j, (1 if dj > 0 else -1)
         return None
 
+    def _column(self, j: int) -> List[int]:
+        """Decode column j, slot j + 1 of every row, into col, where _move,
+        _exchange and _pivot read it."""
+        sh, wide, top, mask, half = self.w * (j + 1) - 1, self.wide, self.top, self.mask, self.half
+        col = self.col = [((((row >> sh) & wide) + top >> 1) & mask) - half for row in self.tab]
+        return col
+
     def _step(self, j: int, dire: int) -> Optional[int]:
         """One ratio-test move for entering column j.  Returns the pivot row,
         None when the move was a bound flip, or -1 when nothing bounds the
         move (an unbounded direction; the caller decides)."""
         den, tab, basis, lo, hi, val = self.den, self.tab, self.basis, self.lo, self.hi, self.val
-        status, half, mask = self.status, self.half, self.mask
-        # slot(row, j + 1) of every row
-        sh, wide, top = self.w * (j + 1) - 1, self.wide, self.top
-        col = self.col = [((((row >> sh) & wide) + top >> 1) & mask) - half for row in tab]
+        half, mask = self.half, self.mask
+        col = self._column(j)
         # the step is the least num / q (q > 0) over the bounds that block
         # it, compared by cross-multiplying; ties go to the lowest column
         num = q = leave_var = leave_row = None
@@ -301,29 +323,39 @@ class _Simplex:
         if num is None:
             return -1  # unbounded direction
         if leave_var == j:  # bound flip, basis unchanged
-            step = bound - val[j]
-            for k, c in enumerate(col):
+            self.status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
+            self._move(j, bound)
+            return None
+        self._exchange(leave_row, j, dire * col[leave_row] > 0)
+        return leave_row
+
+    def _move(self, j: int, v: int):
+        """Set nonbasic column j, decoded in col, to the value v: beta falls
+        by the column times the step."""
+        step = v - self.val[j]
+        if step:
+            tab = self.tab
+            for k, c in enumerate(self.col):
                 if c:
                     tab[k] -= c * step
-            status[j] = _AT_UPPER if dire > 0 else _AT_LOWER
-            val[j] = bound
-            return None
-        i = leave_row
-        v = val[j]
-        if v:
-            for k, c in enumerate(col):
-                if c:
-                    tab[k] += c * v
+        self.val[j] = v
+
+    def _exchange(self, i: int, j: int, to_lower: bool):
+        """Column j, decoded in col, enters the basis in row i, and the
+        column basic there leaves at its lower bound if to_lower, else at
+        its upper.  Both moves are folded into beta before the pivot: the
+        entering value (a basic column's val is 0) and the leaving bound."""
+        self._move(j, 0)
+        status, val, basis = self.status, self.val, self.basis
         b = basis[i]
-        if dire * col[i] > 0:
-            status[b], val[b] = _AT_LOWER, lo[b]
+        if to_lower:
+            status[b], val[b] = _AT_LOWER, self.lo[b]
         else:
-            status[b], val[b] = _AT_UPPER, hi[b]
-        tab[i] -= den * val[b]
-        status[j], val[j] = _BASIC, 0
+            status[b], val[b] = _AT_UPPER, self.hi[b]
+        self.tab[i] -= self.den * val[b]
+        status[j] = _BASIC
         basis[i] = j
         self._pivot(i, j)
-        return i
 
     def _pivot(self, i: int, j: int):
         """Bareiss update of every other row and of rc on entering column j,
@@ -399,6 +431,89 @@ class _Simplex:
         return LpResult(
             status="optimal", den=self.den, scaled_value=value, scaled_point=x, scaled_dual=y
         )
+
+    def fork(self) -> "_Simplex":
+        """A tableau that evolves apart from this one: the rows, the basis
+        and every per-column list are copied, the rest is shared."""
+        twin = _Simplex.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__)
+        twin.tab, twin.basis, twin.status = self.tab[:], self.basis[:], self.status[:]
+        twin.val, twin.lo, twin.hi, twin.fixed = self.val[:], self.lo[:], self.hi[:], self.fixed[:]
+        return twin
+
+    def fits(self, j: int, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> bool:
+        """Whether the slots stay wide enough for tighten(j, bounds).  Inside
+        a finite interval a column's reach cannot grow; a bound that closes
+        an open end can make it grow."""
+        if self.lo[j] is not None and self.hi[j] is not None:
+            return True
+        return _slot_width(self.lp, bounds) <= self.w
+
+    def tighten(self, j: int, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> LpResult:
+        """Restrict column j to bounds[j], an interval inside its current
+        bounds, and repair the basis by a zero-cost bounded dual simplex:
+        an "infeasible" result with a checked Farkas vector, or a
+        "feasible" one with a primal-checked point, after which probe may
+        run.  bounds replaces the bounds the checks read; it must differ
+        from them in column j alone.  Only valid after a feasible phase1 or
+        tighten, and only while the slot width covers bounds (_slot_width).
+
+        A nonbasic j moves to its bound on the side it sat at.  Then, by
+        Bland's rule, the lowest basic column outside its bounds leaves at
+        the bound it broke, and the lowest nonbasic, unfixed column whose
+        move pushes it toward that bound enters; with zero cost every
+        column is dual feasible, so any such column may enter.  When none
+        can, the leaving column's row of B^-1 is a Farkas vector."""
+        self.bounds = bounds
+        lo, hi, status = self.lo, self.hi, self.status
+        lo[j], hi[j] = bounds[j]
+        self.fixed[j] = lo[j] is not None and lo[j] == hi[j]
+        st = status[j]
+        if st == _FREE:
+            st = _AT_LOWER if lo[j] is not None else _AT_UPPER if hi[j] is not None else _FREE
+        if st != _BASIC:
+            status[j] = st
+            self._column(j)
+            self._move(j, lo[j] if st == _AT_LOWER else hi[j] if st == _AT_UPPER else 0)
+        self.rc = 0
+        w, half, mask, fixed = self.w, self.half, self.mask, self.fixed
+        while True:
+            den, tab = self.den, self.tab
+            leave = None
+            for i, (row, b) in enumerate(zip(tab, self.basis)):
+                if leave is not None and b > leave[0]:
+                    continue
+                beta = ((row + half) & mask) - half
+                if lo[b] is not None and beta < den * lo[b]:
+                    leave = b, i, beta, 1
+                elif hi[b] is not None and beta > den * hi[b]:
+                    leave = b, i, beta, -1
+            if leave is None:
+                x = tuple(self._scaled_values()[: self.n])
+                self._check_primal(x)
+                return LpResult(status="feasible", den=den, scaled_point=x)
+            _, i, beta, rise = leave
+            # column k moves x_b by -tab[i][k] / den per unit; it may enter
+            # if it can move the way that takes x_b back toward its bound
+            q = ((tab[i] - beta) >> w) + self.offset
+            enter = None
+            for k, st in enumerate(status):
+                if st == _BASIC or fixed[k]:
+                    continue
+                a = rise * (((q >> (w * k)) & mask) - half)
+                if (a < 0 and st != _AT_UPPER) or (a > 0 and st != _AT_LOWER):
+                    enter = k
+                    break
+            if enter is None:
+                n, row = self.n, tab[i]
+                farkas = tuple(
+                    -rise * sign * self.slot(row, n + r + 1)
+                    for r, sign in enumerate(self.art_sign)
+                )
+                self._check_farkas(farkas)
+                return LpResult(status="infeasible", den=den, scaled_farkas=farkas)
+            self._column(enter)
+            self._exchange(i, enter, rise > 0)
 
     # -- verification ------------------------------------------------------
     # Every argument is den times the true vector, in integers.
@@ -575,8 +690,9 @@ IntBounds = Tuple[Optional[int], Optional[int]]
 def _meet(a: IntBounds, b: IntBounds) -> Optional[IntBounds]:
     """Intersection of two integer intervals, None standing for an open
     end; None when the intersection is empty."""
-    lo = max((v for v in (a[0], b[0]) if v is not None), default=None)
-    hi = min((v for v in (a[1], b[1]) if v is not None), default=None)
+    (alo, ahi), (blo, bhi) = a, b
+    lo = alo if blo is None or (alo is not None and alo >= blo) else blo
+    hi = ahi if bhi is None or (ahi is not None and ahi <= bhi) else bhi
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
@@ -590,17 +706,23 @@ def bnb_feasibility(
     """Depth-first feasibility search; every variable is integer-constrained.
 
     The LP rows, their columns and the signed starting tableau rows are
-    built once per run; a node differs from the root only in its integer
-    bounds, and the search reads the den-scaled integers of each LpResult,
-    never a Fraction.  Each node's feasibility LP is simplex phase 1.  If
-    its point is fractional on some priority variable, that variable's
-    exact integer range inside the node is probed by maximizing and
-    minimizing it from the same basis (charged to the same node); an empty
-    range prunes immediately, which is what lets width-0 instances die at
-    the root.  Children fix v <= floor and v >= ceil of the LP value within
-    that range, floor side explored first.  Each child's bound lies inside
-    the parent's exact LP range, so its LP is feasible: only the root can
-    be pruned by an infeasible phase 1.
+    built once per run; a node differs from its parent only in the integer
+    bounds of one variable, and the search reads the den-scaled integers
+    of each LpResult, never a Fraction.  The root's feasibility LP is
+    simplex phase 1.  If a node's point is fractional on some priority
+    variable, that variable's exact integer range inside the node is
+    probed by maximizing and then minimizing it from the same basis
+    (charged to the same node); an empty range prunes immediately, which
+    is what lets width-0 instances die at the root.  Children fix v <=
+    floor and v >= ceil of the LP value within that range, floor side
+    explored first.  The floor child goes on with the live tableau, left
+    at the minimizing probe's basis, and the ceiling child with a fork
+    taken at the maximizing probe's basis; each tightens its one bound and
+    repairs the basis by the dual simplex (_Simplex.tighten).  A child
+    whose new bound closes an open end can need wider slots than its
+    parent's tableau has; it starts cold from phase 1, as the root does.
+    Each child's bound lies inside the parent's exact LP range, so its LP
+    is feasible: only the root can be pruned by an infeasible LP.
     """
     cfg = cfg or BnbConfig()
     space = _BnbSpace(sys, ef)
@@ -613,20 +735,23 @@ def bnb_feasibility(
     listed = set(prio_cols)
     order = prio_cols + [j for j in range(len(space.names)) if j not in listed]
 
-    stack: List[Tuple[int, Dict[int, IntBounds]]] = [(0, {})]
+    # (depth, bounds, the parent's tableau or None at the root, branched column)
+    stack: List[Tuple[int, List[IntBounds], Optional[_Simplex], int]] = [
+        (0, list(space.base), None, -1)
+    ]
     nodes = 0
     max_depth = 0
     while stack:
         if nodes >= cfg.node_limit:
             return BnbResult(status="node_limit", nodes=nodes, proof_depth=max_depth)
-        depth, over = stack.pop()
+        depth, bounds, sx, j = stack.pop()
         nodes += 1
         max_depth = max(max_depth, depth)
-        bounds = list(space.base)
-        for j, bb in over.items():
-            bounds[j] = bb
-        sx = _Simplex(space.lp, bounds)
-        res = sx.phase1()
+        if sx is not None and sx.fits(j, bounds):
+            res = sx.tighten(j, bounds)
+        else:
+            sx = _Simplex(space.lp, bounds)
+            res = sx.phase1()
         if res.status == "infeasible":
             continue
         # the LP point is point[j] / den; every floor and ceiling below is
@@ -640,8 +765,10 @@ def bnb_feasibility(
             )
 
         # probe the exact LP range of the branch variable, reusing the
-        # node's feasible basis for both directions
+        # node's feasible basis for both directions; each child starts from
+        # the vertex of the probe toward its side
         hi_lp = sx.probe(branch, 1)
+        up = sx.fork()
         lo_lp = sx.probe(branch, -1)
         probe = (
             -(lo_lp.scaled_value // lo_lp.den) if lo_lp.status == "optimal" else None,
@@ -652,11 +779,12 @@ def bnb_feasibility(
             continue  # no integer value available for this variable
         v = point[branch]
         # floor child pushed last: popped first
-        for child_bounds in (_meet(rng, (-(-v // den), None)), _meet(rng, (None, v // den))):
+        for cut, start in (((-(-v // den), None), up), ((None, v // den), sx)):
+            child_bounds = _meet(rng, cut)
             if child_bounds is not None:
-                child = dict(over)
+                child = list(bounds)
                 child[branch] = child_bounds
-                stack.append((depth + 1, child))
+                stack.append((depth + 1, child, start, branch))
     return BnbResult(status="infeasible", nodes=nodes, proof_depth=max_depth)
 
 

@@ -230,9 +230,10 @@ def _tworow_split(edit, s):
 def test_build_extended_rejects_kernel_sublattice():
     """A q with one column doubled spans a sublattice of the kernel, so
     |det [R | S | V0]| = 2: reported, not rescaled away, wherever the
-    doubled column lands."""
+    doubled column lands, also at s = d = 3, where R is empty and P = I
+    would otherwise miss the integer points off the sublattice."""
     for j in range(3):
-        for s in (1, 2):
+        for s in (1, 2, 3):
 
             def double(cols):
                 cols[j] = tuple(2 * x for x in cols[j])
@@ -247,7 +248,7 @@ def test_build_extended_rejects_dependent_kernel():
     def repeat(cols):
         cols[1] = cols[0]
 
-    for s in (1, 2):
+    for s in (1, 2, 3):
         with pytest.raises(RankError):
             build_extended(*_tworow_split(repeat, s))
 

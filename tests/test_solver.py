@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latref import (
@@ -17,7 +17,7 @@ from latref import (
 )
 from latref import solver
 from latref.exact import DomainError, IntMatrix, mat_mul, mat_vec, transpose
-from latref.knapsack import ResourceLimitError
+from latref.knapsack import ResourceLimitError, frobenius_exact
 from latref.lattice import kernel_and_solution, lll_reduce
 from latref.reformulate import (
     EqualitySystem,
@@ -342,6 +342,81 @@ def test_lp_negative_pivot(monkeypatch):
     assert_box_optimum(obj, rows, rhs, box, r, "max", max(values))
 
 
+# ---------------------------------------------------------------------------
+# warm starts: a tighter bound on one column, repaired by the dual simplex
+
+
+def test_tighten_beyond_the_probed_range_is_farkas_infeasible():
+    """x0 ranges over [1, 5/2] in the LP; cut to [0, 0], the repaired
+    basis has no column that can lift x0 back, and the leaving row of B^-1
+    is a Farkas vector, which the check accepts only as it stands."""
+    rows, rhs = ((1, 1, 1, 0), (2, -1, 0, 1)), (7, 2)
+    bounds = [(0, 3)] * 4
+    sx = solver._Simplex(solver._LpRows(rows, rhs), bounds)
+    assert sx.phase1().status == "feasible"
+    up, down = sx.probe(0, 1), sx.probe(0, -1)
+    assert (F(up.scaled_value, up.den), F(-down.scaled_value, down.den)) == (F(5, 2), 1)
+    child = list(bounds)
+    child[0] = (0, 0)
+    r = sx.tighten(0, child)
+    assert r.status == "infeasible" and r.scaled_farkas == (1, 0)
+    assert_box_farkas(rows, rhs, child, r.scaled_farkas)
+    for i in range(2):
+        bent = list(r.scaled_farkas)
+        bent[i] -= 1
+        with pytest.raises(ArithmeticError, match="Farkas"):
+            sx._check_farkas(bent)
+
+
+@st.composite
+def tightenings(draw):
+    """An LP of box_lps or wide_lps, a few probes that move its basis, and
+    one column with the side and the depth of a cut through its value at
+    the basis the probes leave."""
+    _, rows, rhs, bounds = draw(st.one_of(box_lps(), wide_lps()))
+    n = len(bounds)
+    probes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+                           max_size=3))
+    return rows, rhs, bounds, probes, draw(st.integers(0, n - 1)), draw(st.integers(-1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tightenings(), st.booleans())
+def test_tighten_agrees_with_a_cold_phase1(case, up):
+    """A repaired basis answers as phase 1 from scratch does on the tighter
+    bounds: the same status, and then the same range for the tightened
+    column and every probed one.  The cut lies depth units beyond the
+    column's value (behind it when depth < 0), on the side up names.
+    fits never lets a too narrow slot through."""
+    rows, rhs, bounds, probes, j, depth = case
+    lp = solver._LpRows(rows, rhs)
+    sx = solver._Simplex(lp, bounds)
+    assume(sx.phase1().status == "feasible")
+    for k, dire in probes:
+        sx.probe(k, dire)
+    v, den = sx._scaled_values()[j], sx.den
+    cut = (v // den + 1 + depth, None) if up else (None, -(-v // den) - 1 - depth)
+    sub = solver._meet(bounds[j], cut)
+    assume(sub is not None)
+    child = list(bounds)
+    child[j] = sub
+    if not sx.fits(j, child):
+        assert solver._slot_width(lp, child) > sx.w
+        return
+    assert solver._slot_width(lp, child) <= sx.w
+    cold = solver._Simplex(lp, child)
+    warm = sx.tighten(j, child)
+    assert warm.status == cold.phase1().status
+    if warm.status == "infeasible":
+        return
+    for k in sorted({j} | {k for k, _ in probes}):
+        for dire in (1, -1):
+            a, b = sx.probe(k, dire), cold.probe(k, dire)
+            assert a.status == b.status
+            if a.status == "optimal":
+                assert a.scaled_value * b.den == b.scaled_value * a.den
+
+
 def test_bnb_cuww1_root_prune():
     sys_ = knapsack_system(CUWW1, CUWW1_F)
     ef = detect_decomposition(sys_, FixedSplit(1)).formulation
@@ -398,16 +473,17 @@ def test_bnb_determinism():
 # depends on the whole simplex pivot sequence, so a change to the tableau
 # arithmetic that moves a pivot moves these counts.  So can another row
 # basis of the same P lattice (LLL settles on one of several when rows tie
-# in norm): phase 1 starts from artificial columns tied to the rows of
-# [P | -T], so a new basis can take another pivot path to the same LP
-# answers.  The ext s=8 row reuses the ahl search (s = n - m = 8), so
-# its pivots count once.
+# in norm): the root's phase 1 starts from artificial columns tied to the
+# rows of [P | -T], so a new basis can take another pivot path to the same
+# LP answers, and every child starts from a probe vertex of its parent.
+# The ext s=8 row reuses the ahl search (s = n - m = 8), so its pivots
+# count once.
 PINNED_M2 = {
-    1: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 511),
-    2: (("original", "infeasible", 34, 8), ("ext s=1", "infeasible", 1, 0), 371),
-    3: (("original", "infeasible", 102, 8), ("ext s=1", "infeasible", 49, 8), 1005),
-    4: (("original", "infeasible", 89, 8), ("ext s=1", "infeasible", 1, 0), 531),
-    5: (("original", "infeasible", 84, 8), ("ext s=1", "infeasible", 1, 0), 548),
+    1: (("original", "infeasible", 85, 8), ("ext s=1", "infeasible", 1, 0), 277),
+    2: (("original", "infeasible", 64, 8), ("ext s=1", "infeasible", 1, 0), 334),
+    3: (("original", "infeasible", 117, 8), ("ext s=1", "infeasible", 59, 8), 533),
+    4: (("original", "infeasible", 98, 8), ("ext s=1", "infeasible", 1, 0), 318),
+    5: (("original", "infeasible", 95, 8), ("ext s=1", "infeasible", 1, 0), 320),
 }
 
 
@@ -444,7 +520,7 @@ def test_bnb_pinned_node_limit_m3(monkeypatch):
     pivots = count_pivots(monkeypatch)
     r = bnb_feasibility(gen_market_split(3, 1), None, BnbConfig(node_limit=100))
     assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
-    assert pivots[0] == 935
+    assert pivots[0] == 415
 
 
 @pytest.mark.parametrize("form", ["original", "extended"])
@@ -456,10 +532,17 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
     results = []
     tableaus = []
     real_phase1 = solver._Simplex.phase1
+    real_tighten = solver._Simplex.tighten
     real = solver._Simplex.probe
 
     def phase1_spy(self):
         r = real_phase1(self)
+        results.append(r)
+        tableaus.append(self)
+        return r
+
+    def tighten_spy(self, j, bounds):
+        r = real_tighten(self, j, bounds)
         results.append(r)
         tableaus.append(self)
         return r
@@ -470,6 +553,7 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
         return r
 
     monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
+    monkeypatch.setattr(solver._Simplex, "tighten", tighten_spy)
     monkeypatch.setattr(solver._Simplex, "probe", spy)
     if form == "original":
         bnb_feasibility(gen_market_split(2, 1))
@@ -495,38 +579,67 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
             assert [row[b + 1] for row in rows] == [sx.den * (k == i) for k in range(sx.m)]
 
 
-def test_bnb_node_lp_is_phase1(monkeypatch):
-    """A node's feasibility LP is phase 1 alone: probe runs only for the
-    two range probes of a branching node, one up and one down on the same
-    column."""
-    calls = []
-    feasible = []
-    real = solver._Simplex.probe
+def spy_node_lps(monkeypatch):
+    """Log every node LP as ("phase1" or "tighten", tableau, status), every
+    probe as ("probe", tableau, column, direction) and every fork as
+    ("fork", parent, twin), in call order."""
+    events = []
     real_phase1 = solver._Simplex.phase1
-
-    def spy(self, j, dire):
-        calls.append((self, j, dire))
-        return real(self, j, dire)
+    real_tighten = solver._Simplex.tighten
+    real_probe = solver._Simplex.probe
+    real_fork = solver._Simplex.fork
 
     def phase1_spy(self):
         r = real_phase1(self)
-        if r.status == "feasible":
-            feasible.append(self)
+        events.append(("phase1", self, r.status))
         return r
 
-    monkeypatch.setattr(solver._Simplex, "probe", spy)
+    def tighten_spy(self, j, bounds):
+        r = real_tighten(self, j, bounds)
+        events.append(("tighten", self, r.status))
+        return r
+
+    def probe_spy(self, j, dire):
+        events.append(("probe", self, j, dire))
+        return real_probe(self, j, dire)
+
+    def fork_spy(self):
+        twin = real_fork(self)
+        events.append(("fork", self, twin))
+        return twin
+
     monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
+    monkeypatch.setattr(solver._Simplex, "tighten", tighten_spy)
+    monkeypatch.setattr(solver._Simplex, "probe", probe_spy)
+    monkeypatch.setattr(solver._Simplex, "fork", fork_spy)
+    return events
+
+
+def test_bnb_root_runs_phase1_children_repair(monkeypatch):
+    """Only the root runs phase 1: every other node is its parent's
+    tableau, repaired by tighten, and ends feasible.  A branching node
+    probes its branch column up, forks the tableau for the ceiling child,
+    then probes down; the floor child goes on with the live tableau.  probe
+    runs for nothing else."""
+    events = spy_node_lps(monkeypatch)
     r = bnb_feasibility(gen_market_split(2, 1))
     assert r.status == "infeasible"
     # the search found no integer point, so every feasible node point was
-    # fractional and its node branched
-    assert 0 < len(feasible) <= r.nodes
-    assert len(calls) == 2 * len(feasible)
-    for up, down in zip(calls[::2], calls[1::2]):
-        assert up[0] is down[0] and up[1] == down[1]
-        assert (up[2], down[2]) == (1, -1)
-    # the spies keep every tableau alive, so ids are distinct per node
-    assert {id(sx) for sx, _, _ in calls} == {id(sx) for sx in feasible}
+    # fractional and its node branched; on binaries no slot is too narrow
+    assert len(events) == 4 * r.nodes
+    nodes = list(zip(*[events[k::4] for k in range(4)]))
+    assert nodes[0][0][0] == "phase1"
+    assert all(lp[0] == "tighten" for lp, _, _, _ in nodes[1:])
+    assert {lp[2] for lp, _, _, _ in nodes} == {"feasible"}
+    live, forks = set(), set()
+    for k, (lp, up, fork, down) in enumerate(nodes):
+        sx = lp[1]
+        assert k == 0 or id(sx) in live or id(sx) in forks
+        assert (up[0], fork[0], down[0]) == ("probe", "fork", "probe")
+        assert up[1] is fork[1] is down[1] is sx
+        assert up[2] == down[2] and (up[3], down[3]) == (1, -1)
+        live.add(id(sx))
+        forks.add(id(fork[2]))
 
 
 @pytest.mark.parametrize("form", ["original", "extended"])
@@ -555,21 +668,16 @@ def test_bnb_prunes_infeasible_root_lp(form, monkeypatch):
 @pytest.mark.parametrize("seed", sorted(PINNED_M2))
 def test_bnb_child_lps_stay_feasible_m2(seed, monkeypatch):
     """Children are cut inside the parent's exact probe range, so their
-    phase 1 is feasible; on these instances the roots are LP-feasible too."""
-    statuses = []
-    real = solver._Simplex.phase1
-
-    def spy(self):
-        r = real(self)
-        statuses.append(r.status)
-        return r
-
-    monkeypatch.setattr(solver._Simplex, "phase1", spy)
+    repaired LP is feasible; on these instances the roots are LP-feasible
+    too, and each search runs phase 1 at its root alone."""
+    events = spy_node_lps(monkeypatch)
     tab = compare_formulations(gen_market_split(2, seed), (1, 4, 8))
     # ext s=8 is the ahl formulation (s = n - m), whose search runs once
     searched = [r for r in tab.rows if r.label != "ext s=8"]
-    assert len(statuses) == sum(r.nodes for r in searched)
-    assert set(statuses) == {"feasible"}
+    lps = [e for e in events if e[0] in ("phase1", "tighten")]
+    assert len(lps) == sum(r.nodes for r in searched)
+    assert [e[0] for e in lps].count("phase1") == len(searched)
+    assert {e[2] for e in lps} == {"feasible"}
 
 
 def test_bnb_builds_no_fraction(monkeypatch):
@@ -588,7 +696,7 @@ def test_bnb_builds_no_fraction(monkeypatch):
     if hasattr(F, "_from_coprime_ints"):
         monkeypatch.setattr(F, "_from_coprime_ints", classmethod(refuse))
     r = bnb_feasibility(m2)
-    assert (r.status, r.nodes) == ("infeasible", 89)
+    assert (r.status, r.nodes) == ("infeasible", 85)
     r = bnb_feasibility(m3, None, BnbConfig(node_limit=100))
     assert (r.status, r.nodes, r.proof_depth) == ("node_limit", 100, 17)
     r = bnb_feasibility(sys_, ef)
@@ -596,16 +704,20 @@ def test_bnb_builds_no_fraction(monkeypatch):
 
 
 def test_bnb_checks_every_certificate(monkeypatch):
-    """Each feasible phase 1 is primal-checked, and each of a branching
-    node's two probes gets its optimality or ray check, which primal-checks
-    its own point too."""
+    """Each feasible node LP, phase 1 at the root and a repair below it, is
+    primal-checked, and each of a branching node's two probes gets its
+    optimality or ray check, which primal-checks its own point too."""
     counts = {"feasible": 0, "_check_primal": 0, "_check_optimal": 0, "_check_ray": 0}
-    real_phase1 = solver._Simplex.phase1
 
-    def phase1_spy(self):
-        r = real_phase1(self)
-        counts["feasible"] += r.status == "feasible"
-        return r
+    def node_lp(name):
+        real = getattr(solver._Simplex, name)
+
+        def spy(self, *args):
+            r = real(self, *args)
+            counts["feasible"] += r.status == "feasible"
+            return r
+
+        return spy
 
     def counting(name):
         real = getattr(solver._Simplex, name)
@@ -616,15 +728,47 @@ def test_bnb_checks_every_certificate(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(solver._Simplex, "phase1", phase1_spy)
+    for name in ("phase1", "tighten"):
+        monkeypatch.setattr(solver._Simplex, name, node_lp(name))
     for name in ("_check_primal", "_check_optimal", "_check_ray"):
         monkeypatch.setattr(solver._Simplex, name, counting(name))
     r = bnb_feasibility(gen_market_split(2, 1))
     # no integer point was found, so every LP-feasible node branched
-    assert (r.status, r.nodes, counts["feasible"]) == ("infeasible", 89, 89)
+    assert (r.status, r.nodes, counts["feasible"]) == ("infeasible", 85, 85)
     probes = counts["_check_optimal"] + counts["_check_ray"]
-    assert probes == 2 * 89
-    assert counts["_check_primal"] == 89 + counts["_check_optimal"]
+    assert probes == 2 * 85
+    assert counts["_check_primal"] == 85 + counts["_check_optimal"]
+
+
+# a = (M + 1) p1 + M p2 with M = 13188, p1 = (0, 2, 1, 2, -1) and p2 = (4,
+# 1, 3, 6, 5): a CUWW-shape row from the benchmark's seed-1 draw, and its
+# Frobenius number
+RESTART_ROW = (52752, 39566, 52753, 105506, 52751)
+RESTART_ROW_F = 189864044
+
+
+def test_bnb_restart_below_a_pending_ceiling_child(monkeypatch):
+    """In the s=1 extended form of RESTART_ROW the multiplier is free, so
+    a child that closes its range can need wider slots than its parent's
+    tableau and restarts by a cold phase 1.  At b = F that happens twice
+    while a ceiling child waits on the stack with its fork, which is
+    repaired only after the restart; the search still proves F
+    unrepresentable, and at F + 1 returns a point that the row checks."""
+    assert frobenius_exact(RESTART_ROW) == RESTART_ROW_F
+    events = spy_node_lps(monkeypatch)
+    sys_ = knapsack_system(RESTART_ROW, RESTART_ROW_F)
+    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+    assert (r.status, r.nodes) == ("infeasible", 35)
+    restarts = [k for k, e in enumerate(events) if e[0] == "phase1"][1:]
+    assert len(restarts) == 2
+    for k in restarts:
+        forks = {id(e[2]) for e in events[:k] if e[0] == "fork"}
+        assert any(e[0] == "tighten" and id(e[1]) in forks for e in events[k:])
+
+    sys_ = knapsack_system(RESTART_ROW, RESTART_ROW_F + 1)
+    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+    assert r.status == "feasible"
+    assert min(r.x) >= 0 and dot(RESTART_ROW, r.x) == RESTART_ROW_F + 1
 
 
 def test_gen_market_split_shape():
