@@ -690,9 +690,8 @@ IntBounds = Tuple[Optional[int], Optional[int]]
 def _meet(a: IntBounds, b: IntBounds) -> Optional[IntBounds]:
     """Intersection of two integer intervals, None standing for an open
     end; None when the intersection is empty."""
-    (alo, ahi), (blo, bhi) = a, b
-    lo = alo if blo is None or (alo is not None and alo >= blo) else blo
-    hi = ahi if bhi is None or (ahi is not None and ahi <= bhi) else bhi
+    lo = max((v for v in (a[0], b[0]) if v is not None), default=None)
+    hi = min((v for v in (a[1], b[1]) if v is not None), default=None)
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
@@ -766,21 +765,22 @@ def bnb_feasibility(
 
         # probe the exact LP range of the branch variable, reusing the
         # node's feasible basis for both directions; each child starts from
-        # the vertex of the probe toward its side
+        # the vertex of the probe toward its side.  The maximum alone
+        # decides whether the ceiling child is empty, so the tableau is
+        # copied for it only when it is not.
+        v = point[branch]
         hi_lp = sx.probe(branch, 1)
-        up = sx.fork()
+        top = hi_lp.scaled_value // hi_lp.den if hi_lp.status == "optimal" else None
+        ceiling = _meet(bounds[branch], (-(-v // den), top))
+        up = sx.fork() if ceiling is not None else None
         lo_lp = sx.probe(branch, -1)
-        probe = (
-            -(lo_lp.scaled_value // lo_lp.den) if lo_lp.status == "optimal" else None,
-            hi_lp.scaled_value // hi_lp.den if hi_lp.status == "optimal" else None,
-        )
-        rng = _meet(bounds[branch], probe)
+        bottom = -(lo_lp.scaled_value // lo_lp.den) if lo_lp.status == "optimal" else None
+        rng = _meet(bounds[branch], (bottom, top))
         if rng is None:
             continue  # no integer value available for this variable
-        v = point[branch]
-        # floor child pushed last: popped first
-        for cut, start in (((-(-v // den), None), up), ((None, v // den), sx)):
-            child_bounds = _meet(rng, cut)
+        # floor child pushed last: popped first.  The LP minimum is at or
+        # below the point, so bottom cannot cut the ceiling child.
+        for child_bounds, start in ((ceiling, up), (_meet(rng, (None, v // den)), sx)):
             if child_bounds is not None:
                 child = list(bounds)
                 child[branch] = child_bounds

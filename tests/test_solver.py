@@ -618,28 +618,41 @@ def spy_node_lps(monkeypatch):
 def test_bnb_root_runs_phase1_children_repair(monkeypatch):
     """Only the root runs phase 1: every other node is its parent's
     tableau, repaired by tighten, and ends feasible.  A branching node
-    probes its branch column up, forks the tableau for the ceiling child,
-    then probes down; the floor child goes on with the live tableau.  probe
-    runs for nothing else."""
+    probes its branch column up, forks the tableau when the ceiling child
+    is not empty, then probes down; the floor child goes on with the live
+    tableau.  probe runs for nothing else, and every fork is some child's
+    tableau."""
     events = spy_node_lps(monkeypatch)
     r = bnb_feasibility(gen_market_split(2, 1))
     assert r.status == "infeasible"
     # the search found no integer point, so every feasible node point was
     # fractional and its node branched; on binaries no slot is too narrow
-    assert len(events) == 4 * r.nodes
-    nodes = list(zip(*[events[k::4] for k in range(4)]))
+    nodes = []
+    it = iter(events)
+    for lp in it:
+        up = next(it)
+        fork = next(it)
+        down = next(it) if fork[0] == "fork" else fork
+        nodes.append((lp, up, fork if fork is not down else None, down))
+    assert len(nodes) == r.nodes
     assert nodes[0][0][0] == "phase1"
     assert all(lp[0] == "tighten" for lp, _, _, _ in nodes[1:])
     assert {lp[2] for lp, _, _, _ in nodes} == {"feasible"}
-    live, forks = set(), set()
+    live, forks, used = set(), set(), set()
     for k, (lp, up, fork, down) in enumerate(nodes):
         sx = lp[1]
         assert k == 0 or id(sx) in live or id(sx) in forks
-        assert (up[0], fork[0], down[0]) == ("probe", "fork", "probe")
-        assert up[1] is fork[1] is down[1] is sx
+        if id(sx) in forks:
+            used.add(id(sx))
+        assert (up[0], down[0]) == ("probe", "probe")
+        assert up[1] is down[1] is sx
         assert up[2] == down[2] and (up[3], down[3]) == (1, -1)
         live.add(id(sx))
-        forks.add(id(fork[2]))
+        if fork is not None:
+            assert fork[1] is sx
+            forks.add(id(fork[2]))
+    # the search ran to the end, so every ceiling child was popped
+    assert forks and used == forks
 
 
 @pytest.mark.parametrize("form", ["original", "extended"])
