@@ -716,7 +716,8 @@ def bnb_feasibility(
     floor and v >= ceil of the LP value within that range, floor side
     explored first.  The floor child goes on with the live tableau, left
     at the minimizing probe's basis, and the ceiling child with a fork
-    taken at the maximizing probe's basis; each tightens its one bound and
+    taken at the maximizing probe's basis, only when the maximum leaves
+    that child non-empty; each tightens its one bound and
     repairs the basis by the dual simplex (_Simplex.tighten).  A child
     whose new bound closes an open end can need wider slots than its
     parent's tableau has; it starts cold from phase 1, as the root does.
