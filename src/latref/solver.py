@@ -5,9 +5,11 @@ a dense fraction-free integer tableau over one common denominator
 (Bareiss pivoting), basic values included, and uses Bland's rule, so it
 terminates without tolerances, and every answer carries a certificate
 that is re-verified in integers before it is returned.  Each tableau row
-is packed into one Python int at a slot width derived from Hadamard's
-bound (Kronecker substitution), so a row update is one big-integer
-expression instead of a loop over its entries.  An LpResult holds
+is packed into one Python int (Kronecker substitution), so a row update
+is one big-integer expression instead of a loop over its entries.  The
+slot width comes from Hadamard's bound on the LP rows alone, so one
+width serves a whole search whatever its bounds; the basic values, which
+grow with the bounds, are held apart as plain ints.  An LpResult holds
 those integers and their denominator.  Branch and bound is the simplex's
 only caller and reads the integers alone: phase 1 is the root's
 feasibility LP, two probes from a node's feasible basis maximize and
@@ -23,7 +25,7 @@ and "mu0", "mu1", ... for the multipliers of an extended formulation.
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import DomainError, IntMatrix, mat_vec
 from .knapsack import ResourceLimitError
@@ -57,35 +59,24 @@ class LpResult:
 
 class _LpRows:
     """The integer rows and rhs of an LP, with what every tableau over them
-    shares: the columns of the rows, which the certificate checks read; per
-    row |row_i| and ||row_i||^2 + 1, from which a tableau derives its slot
-    width; and, per slot width, the packed starting rows (see layout)."""
+    shares: the columns of the rows, which the certificate checks read; the
+    slot width w (_slot_width); per row i the two signed starting rows [0 |
+    row_i | e_i] and [0 | -row_i | e_i], packed, of which a new tableau
+    takes the one whose sign matches row i's residual; and offset, half a
+    slot in every slot of a row, which makes each slot nonnegative for
+    decoding.  All are built once per run."""
 
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
         self.rows, self.rhs = rows, rhs
         self.cols = tuple(zip(*rows))
-        self.abs_rows = [[abs(a) for a in row] for row in rows]
-        self.norms = [sum(a * a for a in row) + 1 for row in rows]
-        self._layouts: Dict[int, Tuple[List[Tuple[int, int]], int]] = {}
-
-    def layout(self, w: int) -> Tuple[List[Tuple[int, int]], int]:
-        """(starts, offset) at slot width w.  starts holds per row i the two
-        signed starting rows [0 | row_i | e_i] and [0 | -row_i | e_i],
-        packed; a new tableau takes the one whose sign matches row i's
-        residual and adds the residual's size into slot 0.  offset holds
-        half a slot in every slot of a row, which makes each slot
-        nonnegative for decoding.  Both are built once per run and width."""
-        lay = self._layouts.get(w)
-        if lay is None:
-            m, n = len(self.rows), len(self.cols)
-            starts = []
-            for i, row in enumerate(self.rows):
-                unit = 1 << (w * (n + 1 + i))
-                plus = _pack((0,) + tuple(row), w)
-                starts.append((plus + unit, unit - plus))
-            offset = _pack([1 << (w - 1)] * (n + m + 1), w)
-            lay = self._layouts[w] = (starts, offset)
-        return lay
+        m, n = len(rows), len(self.cols)
+        w = self.w = _slot_width(rows)
+        self.starts = []
+        for i, row in enumerate(rows):
+            unit = 1 << (w * (n + 1 + i))
+            plus = _pack((0,) + tuple(row), w)
+            self.starts.append((plus + unit, unit - plus))
+        self.offset = _pack([1 << (w - 1)] * (n + m + 1), w)
 
 
 def _pack(values: Sequence[int], w: int) -> int:
@@ -104,21 +95,14 @@ def _width(bound_sq: int) -> int:
     return (bound_sq.bit_length() + 1) // 2 + 1
 
 
-def _slot_width(lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> int:
-    """The slot width a tableau over lp needs while every nonbasic column
-    sits inside bounds (see _Simplex)."""
-    # H^2 by Hadamard, from the largest residual each row can reach;
-    # reach is max(|lo|, |hi|) over the finite bounds, as lo <= hi
-    reach = [
-        (hi if hi >= -lo else -lo) if lo is not None and hi is not None else abs(lo or hi or 0)
-        for lo, hi in bounds
-    ]
-    h_sq = 1
-    for absrow, norm, r in zip(lp.abs_rows, lp.norms, lp.rhs):
-        resid = abs(r) + sum(map(mul, absrow, reach))
-        h_sq *= norm + resid * resid
-    # the widest cost is phase 1's, with ||c||^2 = m
-    return _width(h_sq * max(1, len(lp.rows)))
+def _slot_width(rows: Sequence[Sequence[int]]) -> int:
+    """The slot width every tableau over rows needs (see _Simplex): H^2 =
+    prod_i (||row_i||^2 + 1) by Hadamard, times the widest cost's norm^2,
+    phase 1's m."""
+    h_sq = max(1, len(rows))
+    for row in rows:
+        h_sq *= sum(a * a for a in row) + 1
+    return _width(h_sq)
 
 
 class _Simplex:
@@ -132,43 +116,39 @@ class _Simplex:
     value is an integer; val holds it, and fixed marks the columns with
     lower == upper, both kept in step with status.
 
-    The tableau B^-1 [A | I], with the basic values x_B as one more
-    column, is held in integers over one common denominator den > 0: the
-    true entry is T[i][j] / den, and den is |det B|.  So the extra column
-    is beta = den * x_B.  Each row is one Python int, the value at X = 2^w
-    of the polynomial whose coefficients are the row: slot 0 holds beta
-    and slot j + 1 holds column j, each a signed w-bit integer.  Every
-    entry is, up to sign, an m x m minor of [A | S | r], where S holds the
-    artificial columns and r is a residual b - A x_N, so by Hadamard's
-    bound it is at most H = prod_i ||(a_i, 1, R_i)||, with R_i = |b_i| +
-    sum_j |a_ij| max(|lo_j|, |hi_j|) over the finite bounds.  The
-    reduced-cost row rc = den * (c - c_B B^-1 [A | I]) is packed the same
-    way with slot 0 kept at zero; its entries are (m+1)-minors that take in
+    The tableau B^-1 [A | S], where S holds the artificial columns, is held
+    in integers over one common denominator den > 0: the true entry is
+    T[i][j] / den, and den is |det B|.  Each row is one Python int, the
+    value at X = 2^w of the polynomial whose coefficients are the row: slot
+    j + 1 holds column j, a signed w-bit integer, and slot 0 stays zero, so
+    every column decodes by the same shift.  Every entry is, up to sign, an
+    m x m minor of [A | S], so by Hadamard's bound it is at most H =
+    prod_i ||(a_i, 1)||.  The reduced-cost row rc = den * (c - c_B B^-1 [A
+    | S]) is packed the same way; its entries are (m+1)-minors that take in
     the cost row, at most H ||c||.  The widest cost is phase 1's, with
     ||c||^2 = m, as a probe's has norm 1, so w = bitlength(H sqrt(max(1,
-    m))) + 1, fixed at construction, holds every decoded value.  The same
-    bound holds after tighten narrows a column, with the residuals the new
-    bounds allow; fits checks it against w.  Values in between, such as
-    piv*row, need not fit a slot: the packed identities are exact for any
-    integers.
+    m))) + 1 holds every decoded value.  w comes from the rows alone, so it
+    holds whatever the bounds, and one width serves a whole search.  Values
+    in between, such as piv*row, need not fit a slot: the packed identities
+    are exact for any integers.  The basic values, which grow with the
+    bounds, are held apart as the list of ints beta = den * x_B.
 
     A pivot on (i, j) is the Bareiss update T'[k] = (piv*T[k] -
-    T[k][j]*T[i]) // den, one big-integer expression per row, whose
-    division is exact in every slot; den then becomes |piv|.  Before it,
-    beta is rewritten for the new nonbasic set: the entering column's value
-    is folded in and the leaving column moves to the bound its ratio
-    named, each one addition to the packed row.  A bound flip subtracts
-    column * step from beta the same way.  rc is built once per
-    optimisation and rides along under the same update.  Ratios are
-    compared as integer cross-products, so nothing is ever divided.
+    T[k][j]*T[i]) // den, one big-integer expression per row, and the same
+    step on beta; every division is exact, and den then becomes |piv|.
+    Before it, beta is rewritten for the new nonbasic set: the entering
+    column's value is folded in and the leaving column moves to the bound
+    its ratio named.  A bound flip subtracts column * step from beta the
+    same way.  rc is built once per optimisation and rides along under the
+    same update.  Ratios are compared as integer cross-products, so nothing
+    is ever divided.
 
     phase1 finds a feasible basis or a Farkas certificate; probe then
     maximizes dire * x_j for any number of columns j and signs dire in
     turn from the current basis.  tighten narrows one column's bounds and
     repairs the basis by a zero-cost dual simplex, ending in a feasible
     basis for further probes or in a Farkas certificate; fork copies a
-    tableau so that two children can start from it, and fits tells
-    whether the slots still cover a child's bounds.  The artificial
+    tableau so that two children can start from it.  The artificial
     columns are kept for the whole solve; after phase 1 they are fixed to
     zero, which both blocks re-entry and keeps B^-1 readable off the
     tableau for the dual and Farkas certificates.  Every certificate is
@@ -177,7 +157,7 @@ class _Simplex:
     """
 
     def __init__(self, lp: _LpRows, bounds: Sequence[Tuple[Optional[int], Optional[int]]]):
-        self.lp, self.bounds = lp, bounds
+        self.bounds = bounds
         self.rows, self.rhs, self.cols = lp.rows, lp.rhs, lp.cols
         m = self.m = len(lp.rows)
         n = self.n = len(bounds)
@@ -192,25 +172,22 @@ class _Simplex:
             lo if lo is not None else hi if hi is not None else 0 for lo, hi in bounds
         ] + [0] * m
         self.fixed = [lo is not None and lo == hi for lo, hi in bounds] + [False] * m
-        w = self.w = _slot_width(lp, bounds)
+        w = self.w = lp.w
         self.half = 1 << (w - 1)
         self.mask = (1 << w) - 1
         self.wide = (1 << (w + 1)) - 1
         self.top = (1 << w) + 1
-        starts, self.offset = lp.layout(w)
-        # tab = den [B^-1 [A | S] | x_B] with B the (signed) artificial
-        # columns S, so den starts at 1 and beta at the residuals |b - A x_N|
+        self.offset = lp.offset
+        # tab = den B^-1 [A | S] with B the (signed) artificial columns S,
+        # so den starts at 1 and beta at the residuals |b - A x_N|
         self.den = 1
-        self.art_sign = []
-        self.tab: List[int] = []
-        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, starts):
+        self.art_sign, self.tab, self.beta = [], [], []
+        for row, r, (plus, minus) in zip(lp.rows, lp.rhs, lp.starts):
             resid = r - sum(map(mul, row, self.val))
-            if resid >= 0:
-                self.art_sign.append(1)
-                self.tab.append(plus + resid)
-            else:
-                self.art_sign.append(-1)
-                self.tab.append(minus - resid)
+            sign = 1 if resid >= 0 else -1
+            self.art_sign.append(sign)
+            self.tab.append(plus if sign > 0 else minus)
+            self.beta.append(sign * resid)
         self.rc = 0
         self.col: List[int] = []  # the entering column: _step reads it, _pivot uses it
         self.basis = list(range(n, self.ncols))
@@ -218,26 +195,21 @@ class _Simplex:
     # -- packed rows -------------------------------------------------------
 
     def slot(self, p: int, k: int) -> int:
-        """Slot k of the packed row p, read as ((p + half) mod 2^w) - half
-        for k = 0.  For k > 0, p / 2^(w k) is first rounded to the nearest
-        integer, which drops the slots below k exactly, since together they
-        are less than half of 2^(w k) in size: with u the low w + 1 bits of
-        p >> (w k - 1), that integer is (u + 1) >> 1 modulo 2^w, and the
-        half slot folds into the same shift."""
-        if k:
-            p = ((p >> (self.w * k - 1)) & self.wide) + self.top >> 1
-        else:
-            p += self.half
+        """Slot k > 0 of the packed row p.  p / 2^(w k) is first rounded to
+        the nearest integer, which drops the slots below k exactly, since
+        together they are less than half of 2^(w k) in size: with u the low
+        w + 1 bits of p >> (w k - 1), that integer is (u + 1) >> 1 modulo
+        2^w, and the half slot folds into the same shift."""
+        p = ((p >> (self.w * k - 1)) & self.wide) + self.top >> 1
         return (p & self.mask) - self.half
 
     # -- certificates read off the tableau ---------------------------------
 
     def _scaled_values(self) -> List[int]:
         """den * x for every column."""
-        den, half, mask = self.den, self.half, self.mask
-        x = [den * v for v in self.val]
-        for row, b in zip(self.tab, self.basis):
-            x[b] = ((row + half) & mask) - half  # slot 0 is beta
+        x = [self.den * v for v in self.val]
+        for beta, b in zip(self.beta, self.basis):
+            x[b] = beta
         return x
 
     def _dual(self, cost: Sequence[int]) -> List[int]:
@@ -253,15 +225,14 @@ class _Simplex:
     # -- core iteration ----------------------------------------------------
 
     def _reduced_costs(self, cost: Sequence[int]) -> int:
-        """den * (c - c_B B^-1 [A | I]) for an integer cost vector, packed,
-        with slot 0 cleared."""
+        """den * (c - c_B B^-1 [A | S]) for an integer cost vector, packed
+        like the rows."""
         rc = self.den * (_pack(cost, self.w) << self.w)
         for row, b in zip(self.tab, self.basis):
             cb = cost[b]
             if cb:
                 rc -= cb * row
-        half = self.half
-        return rc - (((rc + half) & self.mask) - half)  # slot 0 cleared
+        return rc
 
     def _entering(self) -> Optional[Tuple[int, int]]:
         """Bland's rule: the lowest column whose move improves.  Every such
@@ -296,8 +267,7 @@ class _Simplex:
         """One ratio-test move for entering column j.  Returns the pivot row,
         None when the move was a bound flip, or -1 when nothing bounds the
         move (an unbounded direction; the caller decides)."""
-        den, tab, basis, lo, hi, val = self.den, self.tab, self.basis, self.lo, self.hi, self.val
-        half, mask = self.half, self.mask
+        den, beta, basis, lo, hi, val = self.den, self.beta, self.basis, self.lo, self.hi, self.val
         col = self._column(j)
         # the step is the least num / q (q > 0) over the bounds that block
         # it, compared by cross-multiplying; ties go to the lowest column
@@ -313,11 +283,11 @@ class _Simplex:
             if r > 0:
                 if lo[b] is None:
                     continue
-                t = ((tab[i] + half) & mask) - half - den * lo[b]  # slot 0 is beta
+                t = beta[i] - den * lo[b]
             else:
                 if hi[b] is None:
                     continue
-                t, r = den * hi[b] - (((tab[i] + half) & mask) - half), -r
+                t, r = den * hi[b] - beta[i], -r
             if num is None or t * q < num * r or (t * q == num * r and b < leave_var):
                 num, q, leave_var, leave_row = t, r, b, i
         if num is None:
@@ -334,10 +304,10 @@ class _Simplex:
         by the column times the step."""
         step = v - self.val[j]
         if step:
-            tab = self.tab
+            beta = self.beta
             for k, c in enumerate(self.col):
                 if c:
-                    tab[k] -= c * step
+                    beta[k] -= c * step
         self.val[j] = v
 
     def _exchange(self, i: int, j: int, to_lower: bool):
@@ -352,26 +322,24 @@ class _Simplex:
             status[b], val[b] = _AT_LOWER, self.lo[b]
         else:
             status[b], val[b] = _AT_UPPER, self.hi[b]
-        self.tab[i] -= self.den * val[b]
+        self.beta[i] -= self.den * val[b]
         status[j] = _BASIC
         basis[i] = j
         self._pivot(i, j)
 
     def _pivot(self, i: int, j: int):
-        """Bareiss update of every other row and of rc on entering column j,
-        whose entries _step left in col; den becomes |piv|."""
-        tab, col, den, half = self.tab, self.col, self.den, self.half
-        prow = tab[i]
-        piv = col[i]
+        """Bareiss update of every other row, its beta and rc on entering
+        column j, whose entries _step left in col; den becomes |piv|."""
+        tab, beta, col, den = self.tab, self.beta, self.col, self.den
+        prow, pbeta, piv = tab[i], beta[i], col[i]
         if piv < 0:  # negating the pivot row negates the whole update
-            prow = tab[i] = -prow
-            piv = -piv
-        for k, (row, f) in enumerate(zip(tab, col)):
+            prow, pbeta, piv = -prow, -pbeta, -piv
+            tab[i], beta[i] = prow, pbeta
+        for k, f in enumerate(col):
             if k != i:
-                tab[k] = _bareiss_row(row, prow, f, piv, den)
-        # rc's slot 0 stays zero against the pivot row without its beta
-        beta = ((prow + half) & self.mask) - half
-        self.rc = _bareiss_row(self.rc, prow - beta, self.slot(self.rc, j + 1), piv, den)
+                tab[k] = _bareiss_row(tab[k], prow, f, piv, den)
+                beta[k] = _bareiss_row(beta[k], pbeta, f, piv, den)
+        self.rc = _bareiss_row(self.rc, prow, self.slot(self.rc, j + 1), piv, den)
         self.den = piv
 
     def _optimize(self, cost: Sequence[int]):
@@ -437,17 +405,10 @@ class _Simplex:
         and every per-column list are copied, the rest is shared."""
         twin = _Simplex.__new__(_Simplex)
         twin.__dict__.update(self.__dict__)
-        twin.tab, twin.basis, twin.status = self.tab[:], self.basis[:], self.status[:]
+        twin.tab, twin.beta, twin.basis = self.tab[:], self.beta[:], self.basis[:]
+        twin.status = self.status[:]
         twin.val, twin.lo, twin.hi, twin.fixed = self.val[:], self.lo[:], self.hi[:], self.fixed[:]
         return twin
-
-    def fits(self, j: int, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> bool:
-        """Whether the slots stay wide enough for tighten(j, bounds).  Inside
-        a finite interval a column's reach cannot grow; a bound that closes
-        an open end can make it grow."""
-        if self.lo[j] is not None and self.hi[j] is not None:
-            return True
-        return _slot_width(self.lp, bounds) <= self.w
 
     def tighten(self, j: int, bounds: Sequence[Tuple[Optional[int], Optional[int]]]) -> LpResult:
         """Restrict column j to bounds[j], an interval inside its current
@@ -456,7 +417,7 @@ class _Simplex:
         "feasible" one with a primal-checked point, after which probe may
         run.  bounds replaces the bounds the checks read; it must differ
         from them in column j alone.  Only valid after a feasible phase1 or
-        tighten, and only while the slot width covers bounds (_slot_width).
+        tighten.
 
         A nonbasic j moves to its bound on the side it sat at.  Then, by
         Bland's rule, the lowest basic column outside its bounds leaves at
@@ -480,22 +441,21 @@ class _Simplex:
         while True:
             den, tab = self.den, self.tab
             leave = None
-            for i, (row, b) in enumerate(zip(tab, self.basis)):
+            for i, (beta, b) in enumerate(zip(self.beta, self.basis)):
                 if leave is not None and b > leave[0]:
                     continue
-                beta = ((row + half) & mask) - half
                 if lo[b] is not None and beta < den * lo[b]:
-                    leave = b, i, beta, 1
+                    leave = b, i, 1
                 elif hi[b] is not None and beta > den * hi[b]:
-                    leave = b, i, beta, -1
+                    leave = b, i, -1
             if leave is None:
                 x = tuple(self._scaled_values()[: self.n])
                 self._check_primal(x)
                 return LpResult(status="feasible", den=den, scaled_point=x)
-            _, i, beta, rise = leave
+            _, i, rise = leave
             # column k moves x_b by -tab[i][k] / den per unit; it may enter
             # if it can move the way that takes x_b back toward its bound
-            q = ((tab[i] - beta) >> w) + self.offset
+            q = (tab[i] >> w) + self.offset
             enter = None
             for k, st in enumerate(status):
                 if st == _BASIC or fixed[k]:
@@ -581,9 +541,10 @@ def _bareiss_row(row: int, prow: int, f: int, piv: int, den: int) -> int:
     """Eliminate column j of the packed row against the packed pivot row
     prow, where f is the row's entry in column j: (piv*row - f*prow) // den
     for every slot at once.  By Sylvester's identity each slot of the
-    result is, up to sign, a minor of [A | I | r] for the integer vector r
-    whose image beta is, so each slot's division is exact, and with it the
-    division of the whole packed row."""
+    result is, up to sign, a minor of [A | S], so each slot's division is
+    exact, and with it the division of the whole packed row.  The same
+    step on a basic value and the pivot row's gives a minor of [A | S | r],
+    r the residual b - A x_N, exactly as well."""
     if f == 0:
         return row if piv == den else row * piv // den
     return (piv * row - f * prow) // den
@@ -718,15 +679,15 @@ def bnb_feasibility(
     at the minimizing probe's basis, and the ceiling child with a fork
     taken at the maximizing probe's basis, only when the maximum leaves
     that child non-empty; each tightens its one bound and
-    repairs the basis by the dual simplex (_Simplex.tighten).  A child
-    whose new bound closes an open end can need wider slots than its
-    parent's tableau has; it starts cold from phase 1, as the root does.
-    Each child's bound lies inside the parent's exact LP range, so its LP
-    is feasible: only the root can be pruned by an infeasible LP.
+    repairs the basis by the dual simplex (_Simplex.tighten).  The slot
+    width comes from the LP rows alone, so every child's bounds, however
+    far they reach, fit the root's tableau.  Each child's bound lies inside
+    the parent's exact LP range, so its LP is feasible: only the root can
+    be pruned by an infeasible LP.
     """
     cfg = cfg or BnbConfig()
     space = _BnbSpace(sys, ef)
-    priority = cfg.branch_priority or space.default_priority()
+    priority = space.default_priority() if cfg.branch_priority is None else cfg.branch_priority
     for name in priority:
         if name not in space.index:
             raise DomainError("unknown variable %r in branch_priority" % name)
@@ -735,9 +696,9 @@ def bnb_feasibility(
     listed = set(prio_cols)
     order = prio_cols + [j for j in range(len(space.names)) if j not in listed]
 
-    # (depth, bounds, the parent's tableau or None at the root, branched column)
-    stack: List[Tuple[int, List[IntBounds], Optional[_Simplex], int]] = [
-        (0, list(space.base), None, -1)
+    # (depth, bounds, the parent's tableau, branched column or -1 at the root)
+    stack: List[Tuple[int, List[IntBounds], _Simplex, int]] = [
+        (0, list(space.base), _Simplex(space.lp, space.base), -1)
     ]
     nodes = 0
     max_depth = 0
@@ -747,11 +708,7 @@ def bnb_feasibility(
         depth, bounds, sx, j = stack.pop()
         nodes += 1
         max_depth = max(max_depth, depth)
-        if sx is not None and sx.fits(j, bounds):
-            res = sx.tighten(j, bounds)
-        else:
-            sx = _Simplex(space.lp, bounds)
-            res = sx.phase1()
+        res = sx.phase1() if j < 0 else sx.tighten(j, bounds)
         if res.status == "infeasible":
             continue
         # the LP point is point[j] / den; every floor and ceiling below is

@@ -134,10 +134,12 @@ def packed_simplex(rows, rhs, bounds) -> _Simplex:
 
 
 def unpack(sx: _Simplex, p: int) -> List[int]:
-    """Every slot of the packed tableau row p of sx: beta, then columns
-    0 .. ncols-1."""
+    """Columns 0 .. ncols-1 of the packed tableau row p of sx, from slots 1
+    .. ncols; slot 0 must be zero, since the basic values are held apart in
+    sx.beta."""
     q, mask, half, w = p + sx.offset, sx.mask, sx.half, sx.w
-    return [((q >> s) & mask) - half for s in range(0, w * (sx.ncols + 1), w)]
+    assert q & mask == half, "slot 0 of a packed row is not zero"
+    return [((q >> s) & mask) - half for s in range(w, w * (sx.ncols + 1), w)]
 
 
 class LpAnswer(LpResult):

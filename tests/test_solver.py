@@ -200,7 +200,7 @@ def recording(cls, decode):
 
 
 def packed_rows(sx):
-    return [unpack(sx, row) for row in sx.tab]
+    return [[beta] + unpack(sx, row) for beta, row in zip(sx.beta, sx.tab)]
 
 
 def list_rows(sx):
@@ -277,12 +277,11 @@ def sylvester(order):
 @pytest.mark.parametrize("scale", [1, 10**12])
 def test_slots_hold_a_hadamard_determinant(order, scale):
     """A Sylvester-Hadamard matrix meets Hadamard's bound: |det| is
-    order^(order/2).  With free columns, every residual is the rhs itself,
-    at its bound R_i = |b_i|; phase 1 makes every column basic, so den
-    ends at |det|, a few bits below the top of a slot when the rhs is
-    small.  Phase 1 runs on these rows alone, so the slots are the ones
-    derived for them; every row decodes to the list-row reference after
-    every pivot, and so do the probes of x_0 that follow."""
+    order^(order/2).  Phase 1 makes every column basic, so den ends at
+    |det|, a few bits below the top of a slot, whatever the size of the
+    rhs: the slots are derived from the rows alone.  Every row decodes to
+    the list-row reference after every pivot, and so do the probes of x_0
+    that follow."""
     h = sylvester(order)
     rhs = [scale * row[0] for row in h]
     bounds = [(None, None)] * order
@@ -295,8 +294,7 @@ def test_slots_hold_a_hadamard_determinant(order, scale):
     det = order ** (order // 2)
     assert packed_log[-1][2] == got.den == det
     assert got.scaled_point == (scale * det,) + (0,) * (order - 1)
-    if scale == 1:
-        assert sx.w - det.bit_length() <= 5
+    assert sx.w - det.bit_length() <= 5
     for dire in (1, -1):
         r = sx.probe(0, dire)
         assert r == ref.probe(0, dire) and r.scaled_value == dire * scale * det
@@ -306,21 +304,38 @@ def test_slots_hold_a_hadamard_determinant(order, scale):
 
 @pytest.mark.parametrize("width", [16, 64, 128, 190])
 def test_too_narrow_slots_end_in_a_certificate_error(width, monkeypatch):
-    """Slots narrower than the derived width (207 bits here) wrap the
+    """Slots narrower than the derived width (202 bits here) wrap the
     large entries; phase 1 and the probes of every column must then fail
     a certificate check, not answer."""
     rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
     rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
     bounds = ((0, 3), (0, 3), (0, 3), (0, 3))
-    lp = solver._LpRows(rows, rhs)
-    assert solver._Simplex(lp, bounds).w == 207
+    assert solver._Simplex(solver._LpRows(rows, rhs), bounds).w == 202
     monkeypatch.setattr(solver, "_width", lambda bound_sq: width)
-    sx = solver._Simplex(lp, bounds)
+    sx = solver._Simplex(solver._LpRows(rows, rhs), bounds)
     with pytest.raises(ArithmeticError, match="primal point violates|Farkas certificate"):
         sx.phase1()
         for j in range(len(bounds)):
             sx.probe(j, 1)
             sx.probe(j, -1)
+
+
+def test_slot_width_ignores_the_bounds():
+    """The slot width comes from the rows alone: bounds at 10^40 give the
+    root bounds' width, although the starting basic values are far wider
+    than a slot, and the tableau still answers as the list-row reference."""
+    rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
+    rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
+    lp = solver._LpRows(rows, rhs)
+    far = ((-(10**40), 3), (0, 10**40), (None, 10**40), (-(10**40), None))
+    sx = solver._Simplex(lp, far)
+    assert solver._Simplex(lp, ((0, 3),) * 4).w == sx.w == 202
+    assert max(abs(b) for b in sx.beta).bit_length() > sx.w
+    ref = ListSimplex(rows, rhs, far)
+    assert sx.phase1() == ref.phase1()
+    for j in range(len(far)):
+        for dire in (1, -1):
+            assert sx.probe(j, dire) == ref.probe(j, dire)
 
 
 def test_lp_negative_pivot(monkeypatch):
@@ -372,12 +387,15 @@ def test_tighten_beyond_the_probed_range_is_farkas_infeasible():
 def tightenings(draw):
     """An LP of box_lps or wide_lps, a few probes that move its basis, and
     one column with the side and the depth of a cut through its value at
-    the basis the probes leave."""
+    the basis the probes leave.  The depth reaches 10^30 either way, so a
+    free or one-sided column can get an end far beyond every value the
+    tableau has held."""
     _, rows, rhs, bounds = draw(st.one_of(box_lps(), wide_lps()))
     n = len(bounds)
     probes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
                            max_size=3))
-    return rows, rhs, bounds, probes, draw(st.integers(0, n - 1)), draw(st.integers(-1, 2))
+    depth = draw(st.one_of(st.integers(-1, 2), st.integers(-10**30, 10**30)))
+    return rows, rhs, bounds, probes, draw(st.integers(0, n - 1)), depth
 
 
 @settings(max_examples=100, deadline=None)
@@ -386,8 +404,8 @@ def test_tighten_agrees_with_a_cold_phase1(case, up):
     """A repaired basis answers as phase 1 from scratch does on the tighter
     bounds: the same status, and then the same range for the tightened
     column and every probed one.  The cut lies depth units beyond the
-    column's value (behind it when depth < 0), on the side up names.
-    fits never lets a too narrow slot through."""
+    column's value (behind it when depth < 0), on the side up names.  Both
+    tableaus have the same slot width, however far the cut reaches."""
     rows, rhs, bounds, probes, j, depth = case
     lp = solver._LpRows(rows, rhs)
     sx = solver._Simplex(lp, bounds)
@@ -400,11 +418,8 @@ def test_tighten_agrees_with_a_cold_phase1(case, up):
     assume(sub is not None)
     child = list(bounds)
     child[j] = sub
-    if not sx.fits(j, child):
-        assert solver._slot_width(lp, child) > sx.w
-        return
-    assert solver._slot_width(lp, child) <= sx.w
     cold = solver._Simplex(lp, child)
+    assert cold.w == sx.w
     warm = sx.tighten(j, child)
     assert warm.status == cold.phase1().status
     if warm.status == "infeasible":
@@ -459,6 +474,21 @@ def test_bnb_node_limit():
     r = bnb_feasibility(ms, None, BnbConfig(node_limit=3))
     assert r.status == "node_limit"
     assert r.nodes == 3
+
+
+def test_bnb_empty_priority_is_index_order():
+    """branch_priority=() lists no variable, so the search scans every
+    column in index order, as the explicit index-order tuple does; only
+    None selects the default priority (mu first)."""
+    sys_ = gen_market_split(2, 3)
+    ks = kernel_and_solution(sys_.a, sys_.b)
+    ef = build_extended(sys_, split_basis(ks.q, FixedSplit(1)), ks.q, ks.x0)
+    index_order = tuple("x%d" % j for j in range(sys_.n)) + ("mu0",)
+    nodes = {
+        p: bnb_feasibility(sys_, ef, BnbConfig(branch_priority=p)).nodes
+        for p in ((), index_order, None)
+    }
+    assert nodes == {(): 132, index_order: 132, None: 59}
 
 
 def test_bnb_determinism():
@@ -571,12 +601,12 @@ def test_bnb_lp_values_stay_exact(form, monkeypatch):
     for sx in tableaus:
         assert type(sx.den) is int and sx.den > 0
         rows = [unpack(sx, row) for row in sx.tab]
-        assert all(type(v) is int for row in rows for v in row)
-        # slot 0 is beta = den * x_B, then one slot per column
-        assert all(len(row) == sx.ncols + 1 for row in rows)
+        assert all(type(v) is int for row in rows + [sx.beta] for v in row)
+        # one slot per column, and beta = den * x_B, one int per row
+        assert all(len(row) == sx.ncols for row in rows) and len(sx.beta) == sx.m
         # B^-1 B = I: a basic column reads den in its own row, else 0
         for i, b in enumerate(sx.basis):
-            assert [row[b + 1] for row in rows] == [sx.den * (k == i) for k in range(sx.m)]
+            assert [row[b] for row in rows] == [sx.den * (k == i) for k in range(sx.m)]
 
 
 def spy_node_lps(monkeypatch):
@@ -760,28 +790,30 @@ RESTART_ROW = (52752, 39566, 52753, 105506, 52751)
 RESTART_ROW_F = 189864044
 
 
-def test_bnb_restart_below_a_pending_ceiling_child(monkeypatch):
-    """In the s=1 extended form of RESTART_ROW the multiplier is free, so
-    a child that closes its range can need wider slots than its parent's
-    tableau and restarts by a cold phase 1.  At b = F that happens twice
-    while a ceiling child waits on the stack with its fork, which is
-    repaired only after the restart; the search still proves F
-    unrepresentable, and at F + 1 returns a point that the row checks."""
+def test_bnb_children_never_restart(monkeypatch):
+    """In the s=1 extended form of RESTART_ROW the multiplier is free, and
+    children close its open ends at bounds its parent never reached.  The
+    slot width comes from the rows alone, so each search runs phase 1 once,
+    at the root, and every other node, a popped fork included, is repaired
+    by tighten.  The search proves F unrepresentable, and at F + 1 returns
+    a point that the row checks."""
     assert frobenius_exact(RESTART_ROW) == RESTART_ROW_F
     events = spy_node_lps(monkeypatch)
-    sys_ = knapsack_system(RESTART_ROW, RESTART_ROW_F)
-    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
-    assert (r.status, r.nodes) == ("infeasible", 35)
-    restarts = [k for k, e in enumerate(events) if e[0] == "phase1"][1:]
-    assert len(restarts) == 2
-    for k in restarts:
-        forks = {id(e[2]) for e in events[:k] if e[0] == "fork"}
-        assert any(e[0] == "tighten" and id(e[1]) in forks for e in events[k:])
-
-    sys_ = knapsack_system(RESTART_ROW, RESTART_ROW_F + 1)
-    r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
-    assert r.status == "feasible"
-    assert min(r.x) >= 0 and dot(RESTART_ROW, r.x) == RESTART_ROW_F + 1
+    for rhs, status, nodes in ((RESTART_ROW_F, "infeasible", 39),
+                               (RESTART_ROW_F + 1, "feasible", None)):
+        sys_ = knapsack_system(RESTART_ROW, rhs)
+        start = len(events)
+        r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
+        assert r.status == status and nodes in (None, r.nodes)
+        search = events[start:]
+        lps = [e for e in search if e[0] in ("phase1", "tighten")]
+        assert [e[0] for e in lps] == ["phase1"] + ["tighten"] * (r.nodes - 1)
+        forks = {id(e[2]) for e in search if e[0] == "fork"}
+        repaired = {id(e[1]) for e in lps[1:]}
+        if status == "infeasible":
+            assert forks and forks <= repaired
+        else:
+            assert min(r.x) >= 0 and dot(RESTART_ROW, r.x) == RESTART_ROW_F + 1
 
 
 def test_gen_market_split_shape():
