@@ -302,17 +302,20 @@ def test_slots_hold_a_hadamard_determinant(order, scale):
     assert lp_solve(list(range(order)), h, rhs, bounds).point == (scale,) + (0,) * (order - 1)
 
 
+# two rows of 100-bit entries, whose slots are 202 bits wide
+WIDE_ROWS = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
+WIDE_RHS = tuple(dot(row, (1, 2, 0, 1)) for row in WIDE_ROWS)
+
+
 @pytest.mark.parametrize("width", [16, 64, 128, 190])
 def test_too_narrow_slots_end_in_a_certificate_error(width, monkeypatch):
     """Slots narrower than the derived width (202 bits here) wrap the
     large entries; phase 1 and the probes of every column must then fail
     a certificate check, not answer."""
-    rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
-    rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
     bounds = ((0, 3), (0, 3), (0, 3), (0, 3))
-    assert solver._Simplex(solver._LpRows(rows, rhs), bounds).w == 202
+    assert solver._Simplex(solver._LpRows(WIDE_ROWS, WIDE_RHS), bounds).w == 202
     monkeypatch.setattr(solver, "_width", lambda bound_sq: width)
-    sx = solver._Simplex(solver._LpRows(rows, rhs), bounds)
+    sx = solver._Simplex(solver._LpRows(WIDE_ROWS, WIDE_RHS), bounds)
     with pytest.raises(ArithmeticError, match="primal point violates|Farkas certificate"):
         sx.phase1()
         for j in range(len(bounds)):
@@ -324,14 +327,12 @@ def test_slot_width_ignores_the_bounds():
     """The slot width comes from the rows alone: bounds at 10^40 give the
     root bounds' width, although the starting basic values are far wider
     than a slot, and the tableau still answers as the list-row reference."""
-    rows = ((10**30 + 7, 3 * 10**29 - 1, -(10**30), 5), (2, -(10**30) + 11, 10**29, 10**30))
-    rhs = tuple(dot(row, (1, 2, 0, 1)) for row in rows)
-    lp = solver._LpRows(rows, rhs)
+    lp = solver._LpRows(WIDE_ROWS, WIDE_RHS)
     far = ((-(10**40), 3), (0, 10**40), (None, 10**40), (-(10**40), None))
     sx = solver._Simplex(lp, far)
     assert solver._Simplex(lp, ((0, 3),) * 4).w == sx.w == 202
     assert max(abs(b) for b in sx.beta).bit_length() > sx.w
-    ref = ListSimplex(rows, rhs, far)
+    ref = ListSimplex(WIDE_ROWS, WIDE_RHS, far)
     assert sx.phase1() == ref.phase1()
     for j in range(len(far)):
         for dire in (1, -1):
@@ -799,21 +800,22 @@ def test_bnb_children_never_restart(monkeypatch):
     a point that the row checks."""
     assert frobenius_exact(RESTART_ROW) == RESTART_ROW_F
     events = spy_node_lps(monkeypatch)
-    for rhs, status, nodes in ((RESTART_ROW_F, "infeasible", 39),
-                               (RESTART_ROW_F + 1, "feasible", None)):
-        sys_ = knapsack_system(RESTART_ROW, rhs)
+
+    def search(rhs):
+        """The result, the node LPs and the forks of one search."""
         start = len(events)
+        sys_ = knapsack_system(RESTART_ROW, rhs)
         r = bnb_feasibility(sys_, detect_decomposition(sys_, FixedSplit(1)).formulation)
-        assert r.status == status and nodes in (None, r.nodes)
-        search = events[start:]
-        lps = [e for e in search if e[0] in ("phase1", "tighten")]
+        lps = [e for e in events[start:] if e[0] in ("phase1", "tighten")]
         assert [e[0] for e in lps] == ["phase1"] + ["tighten"] * (r.nodes - 1)
-        forks = {id(e[2]) for e in search if e[0] == "fork"}
-        repaired = {id(e[1]) for e in lps[1:]}
-        if status == "infeasible":
-            assert forks and forks <= repaired
-        else:
-            assert min(r.x) >= 0 and dot(RESTART_ROW, r.x) == RESTART_ROW_F + 1
+        return r, lps, {id(e[2]) for e in events[start:] if e[0] == "fork"}
+
+    r, lps, forks = search(RESTART_ROW_F)
+    assert (r.status, r.nodes) == ("infeasible", 39)
+    assert forks and forks <= {id(e[1]) for e in lps[1:]}
+    r, _, _ = search(RESTART_ROW_F + 1)
+    assert r.status == "feasible"
+    assert min(r.x) >= 0 and dot(RESTART_ROW, r.x) == RESTART_ROW_F + 1
 
 
 def test_gen_market_split_shape():
